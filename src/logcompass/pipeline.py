@@ -130,8 +130,8 @@ class PipelineConfig:
             raise ConfigError("block_size must be >= 1")
         if not self.gap_seconds > 0:
             raise ConfigError("gap_seconds must be positive")
-        if self.linkage_threshold < 0:
-            raise ConfigError("linkage threshold must be >= 0")
+        if not self.linkage_threshold >= 0:
+            raise ConfigError(f"linkage threshold must be >= 0, got {self.linkage_threshold!r}")
         unknown = [f for f in self.export_formats if f not in GRAPH_FORMATS]
         if unknown:
             raise ConfigError(f"unknown graph format {unknown[0]!r}")
@@ -185,13 +185,18 @@ def read_sessions_csv(path: Path) -> list[SessionSummary]:
         header = next(reader, None)
         if header != ["session_id", "user_hash", "start_ms", "end_ms", "k_items"]:
             raise InputError(f"bad sessions file {path}: unexpected header")
-        for row in reader:
+        for i, row in enumerate(reader):
             try:
                 s = SessionSummary(int(row[0]), row[1], int(row[2]), int(row[3]), int(row[4]))
             except (IndexError, ValueError):
                 raise InputError(f"bad sessions file {path}: row {row!r}") from None
             if s.k_items < 1:
                 raise InputError(f"bad sessions file {path}: k_items < 1 in row {row!r}")
+            if s.session_id != i:
+                raise InputError(
+                    f"bad sessions file {path}: session_id {s.session_id} at row {i}"
+                    " (ids must run 0..n-1 in order)"
+                )
             out.append(s)
     return out
 

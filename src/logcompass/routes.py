@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .compass import NODES, build_base_graph, neighbors, shortest_distance
 from .errors import ConfigError
@@ -31,6 +31,9 @@ def _hop_table() -> dict[tuple[str, str], int]:
 
 
 _HOPS = _hop_table()
+# The same table indexed by label position in NODES, for the linkage DP.
+_CODE = {label: i for i, label in enumerate(NODES)}
+_HOP_ROWS = tuple(tuple(_HOPS[(x, y)] for y in NODES) for x in NODES)
 
 
 def compass_hops(x: str, y: str) -> int:
@@ -39,6 +42,12 @@ def compass_hops(x: str, y: str) -> int:
         return _HOPS[(x, y)]
     except KeyError:
         raise ValueError(f"unknown node label in {(x, y)!r}") from None
+
+
+def _check_labels(step_seqs: Iterable[Sequence[str]]) -> None:
+    unknown = {label for steps in step_seqs for label in steps} - _CODE.keys()
+    if unknown:
+        raise ValueError(f"unknown node label {min(unknown, key=repr)!r} in route steps")
 
 
 @dataclass(frozen=True)
@@ -108,31 +117,93 @@ def extract_routes(
     ]
 
 
-def route_distance(
-    r1: SearchRoute,
-    r2: SearchRoute,
-    step_metric: Callable[[str, str], float] | None = None,
-) -> float:
+def route_distance(r1: SearchRoute, r2: SearchRoute) -> float:
     """Edit distance over step sequences.
 
     Substitutions cost the compass hop distance between the labels (0-3);
     insertions and deletions cost 2 each. Symmetric in its arguments.
     """
-    sub = step_metric if step_metric is not None else compass_hops
     a, b = r1.steps, r2.steps
+    _check_labels((a, b))
     prev = [j * INDEL_COST for j in range(len(b) + 1)]
     for i, x in enumerate(a, 1):
         cur = [i * INDEL_COST]
         for j, y in enumerate(b, 1):
             cur.append(
                 min(
-                    prev[j - 1] + sub(x, y),
+                    prev[j - 1] + _HOPS[(x, y)],
                     prev[j] + INDEL_COST,
                     cur[j - 1] + INDEL_COST,
                 )
             )
         prev = cur
     return prev[-1]
+
+
+_Profile = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _profile(steps: Sequence[str]) -> _Profile:
+    """Label codes of a step sequence and its per-label counts (the bag)."""
+    codes = tuple(_CODE[label] for label in steps)
+    counts = [0] * len(NODES)
+    for c in codes:
+        counts[c] += 1
+    return codes, tuple(counts)
+
+
+def _within(p1: _Profile, p2: _Profile, threshold: float) -> bool:
+    """Exactly route_distance <= threshold for two profiled step sequences.
+
+    With a the shorter sequence, b the longer and d = len b - len a:
+    accept when 3 len a + 2d <= threshold (substitute every step of a at
+    hop cost <= 3, insert the rest); reject when 2d > threshold (at least d
+    indels at 2 each); reject when E + d > threshold, where E sums, over
+    labels, how many more steps of that label b has than a (bag excess):
+    each such step costs at least 1 to substitute or 2 to insert, and at
+    least d steps are inserted.
+    Otherwise run the DP on the diagonals j - i in [-e, d + e] only, with
+    e = (threshold - 2d) // 4: a path through diagonal k pays 2(|k| +
+    |d - k|) in indels. The DP stops as soon as a whole row exceeds the
+    threshold (Ukkonen's cut-off), since every path crosses every row.
+    """
+    (a, bag_a), (b, bag_b) = (p1, p2) if len(p1[0]) <= len(p2[0]) else (p2, p1)
+    la, lb = len(a), len(b)
+    d = lb - la
+    if 3 * la + 2 * d <= threshold:
+        return True
+    if 2 * d > threshold:
+        return False
+    if sum(y - x for x, y in zip(bag_a, bag_b) if y > x) + d > threshold:
+        return False
+    e = int((threshold - 2 * d) // 4)
+    dead = int(threshold) + 1  # any value above the threshold
+    prev = [2 * j if j <= d + e else dead for j in range(lb + 1)]
+    for i, x in enumerate(a, 1):
+        hops = _HOP_ROWS[x]
+        cur = [dead] * (lb + 1)
+        if i <= e:
+            cur[0] = left = 2 * i
+            start = 1
+        else:
+            left = dead
+            start = i - e
+        row_min = left
+        for j in range(start, min(lb, i + d + e) + 1):
+            v = prev[j - 1] + hops[b[j - 1]]
+            up = prev[j] + 2
+            if up < v:
+                v = up
+            left += 2
+            if left < v:
+                v = left
+            cur[j] = left = v
+            if v < row_min:
+                row_min = v
+        if row_min > threshold:
+            return False
+        prev = cur
+    return prev[lb] <= threshold
 
 
 def _community_of(group_members: list[SearchRoute]) -> tuple[tuple[str, ...], dict[str, int], str]:
@@ -151,17 +222,28 @@ def detect_communities(
     """Single-linkage grouping: routes chained by distances <= threshold share a community.
 
     Output is a partition of the routes, numbered by smallest member key;
-    the result does not depend on input order. Threshold 0 degenerates to
-    grouping identical step sequences.
+    the result does not depend on input order. The linkage is exact: it
+    equals comparing every pair with route_distance. Identical step
+    sequences are merged first (threshold 0 stops there). The distinct
+    sequences are then swept in length order, and a pair is skipped
+    without a DP when twice its length difference, or its label-bag bound
+    (the longer route's steps in excess of the shorter's per-label counts,
+    plus the length difference), exceeds the threshold. The remaining pairs run a DP
+    banded to the diagonals a path within the threshold can use, stopped
+    as soon as a whole row exceeds the threshold. A threshold of inf merges
+    everything; a negative or NaN threshold is a ConfigError, and a step
+    label outside NODES a ValueError.
     """
-    if linkage_threshold < 0:
-        raise ValueError("linkage_threshold must be >= 0")
+    if not linkage_threshold >= 0:
+        raise ConfigError(f"linkage threshold must be >= 0, got {linkage_threshold!r}")
     owners = [r.owner for r in routes]
     if len(set(owners)) != len(owners):
         raise ValueError("route owners must be unique")
+    _check_labels(r.steps for r in routes)
     ordered = sorted(routes, key=lambda r: r.owner)
-    n = len(ordered)
-    parent = list(range(n))
+    distinct = sorted(dict.fromkeys(r.steps for r in ordered), key=len)
+    node_of = {steps: i for i, steps in enumerate(distinct)}
+    parent = list(range(len(distinct)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -169,20 +251,19 @@ def detect_communities(
             x = parent[x]
         return x
 
-    if linkage_threshold == 0:
-        by_steps: dict[tuple[str, ...], int] = {}
-        for i, r in enumerate(ordered):
-            first = by_steps.setdefault(r.steps, i)
-            parent[find(i)] = find(first)
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if find(i) != find(j) and route_distance(ordered[i], ordered[j]) <= linkage_threshold:
-                    parent[find(i)] = find(j)
+    if linkage_threshold >= 1:  # distinct step sequences are at least 1 apart
+        profiles = [_profile(steps) for steps in distinct]
+        for p, short in enumerate(distinct):
+            for q in range(p + 1, len(distinct)):
+                if 2 * (len(distinct[q]) - len(short)) > linkage_threshold:
+                    break
+                rp, rq = find(p), find(q)
+                if rp != rq and _within(profiles[p], profiles[q], linkage_threshold):
+                    parent[rp] = rq
 
     groups: dict[int, list[SearchRoute]] = {}
-    for i, r in enumerate(ordered):
-        groups.setdefault(find(i), []).append(r)
+    for r in ordered:
+        groups.setdefault(find(node_of[r.steps]), []).append(r)
     communities = []
     for group in sorted(groups.values(), key=lambda g: g[0].owner):
         members, label_counts, dominant = _community_of(group)

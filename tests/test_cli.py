@@ -132,3 +132,53 @@ def test_bad_filters_file_is_config_error(tmp_path):
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({"deny": ["bot"]}), encoding="utf-8")
     assert main(["ingest", "--input", "x", "--filters", str(rules), "--out", "y"]) == 1
+
+
+def _routes_file(tmp_path):
+    path = tmp_path / "routes.csv"
+    path.write_text(
+        "owner,steps,span_start,span_end\nu1,a,1,1\nu2,d,1,1\nu3,\"b,b,b,b\",1,4\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan"])
+def test_bad_linkage_on_communities_is_config_error(tmp_path, capsys, value):
+    out = tmp_path / "communities.csv"
+    code = main(["communities", "--routes", str(_routes_file(tmp_path)),
+                 "--linkage", value, "--out", str(out)])
+    assert code == 1
+    assert "configuration error: linkage threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan"])
+def test_bad_linkage_on_run_is_config_error(tmp_path, capsys, value):
+    log = tmp_path / "log.csv"
+    log.write_text("2021-03-01T00:00:00Z,u1,a1\n", encoding="utf-8")
+    code = main(["run", "--input", str(log), "--linkage", value, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "configuration error: linkage threshold" in capsys.readouterr().err
+
+
+def test_infinite_linkage_merges_all_routes(tmp_path, capsys):
+    out = tmp_path / "communities.csv"
+    assert main(["communities", "--routes", str(_routes_file(tmp_path)),
+                 "--linkage", "inf", "--out", str(out)]) == 0
+    assert "communities: 1" in capsys.readouterr().out
+
+
+def test_gapped_sessions_file_is_input_error(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    assert main(["synth", "--out", str(log), "--seed", "3",
+                 "--sessions-per-block", "10", "--blocks", "2"]) == 0
+    full = tmp_path / "sessions.csv"
+    assert main(["ingest", "--input", str(log), "--out", str(full)]) == 0
+    lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text("".join(lines[:1] + lines[1::2]), encoding="utf-8")
+    code = main(["metrics", "--sessions", str(gapped), "--block-size", "5",
+                 "--out-dir", str(tmp_path / "m")])
+    assert code == 2
+    assert "session_id 2 at row 1" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from logcompass.pipeline import (
     classify_series,
     metrics_from_summaries,
     read_classifications_csv,
+    read_communities_count,
     read_metrics_csv,
     read_routes_csv,
     read_sessions_csv,
@@ -165,6 +167,12 @@ def test_per_user_grouping_produces_user_routes(tmp_path, corpus):
     assert {r.owner for r in routes} <= {s.user_hash for s in summaries}
 
 
+def test_infinite_linkage_puts_every_user_in_one_community(tmp_path, corpus):
+    cfg, report = run(tmp_path, corpus, grouping="user", linkage_threshold=math.inf)
+    assert report["route_count"] > 1
+    assert read_communities_count(cfg.out_dir / ARTIFACT_FILES["communities"]) == 1
+
+
 def test_weighted_graph_export(tmp_path, corpus):
     cfg, _ = run(tmp_path, corpus, weight_edges_from_transitions=True)
     text = (cfg.out_dir / GRAPH_FILES["canonical"]).read_text(encoding="utf-8")
@@ -204,6 +212,14 @@ def test_sessions_csv_round_trip(tmp_path):
     path = tmp_path / "sessions.csv"
     write_sessions_csv(summaries, path)
     assert read_sessions_csv(path) == summaries
+
+
+@pytest.mark.parametrize("ids", [[0, 2], [1, 0], [1, 2], [0, 0]])
+def test_sessions_csv_rejects_gapped_or_reordered_ids(tmp_path, ids):
+    path = tmp_path / "sessions.csv"
+    write_sessions_csv([SessionSummary(i, "u1", 0, 0, 1) for i in ids], path)
+    with pytest.raises(InputError, match="ids must run 0..n-1"):
+        read_sessions_csv(path)
 
 
 def test_sessionize_summaries_matches_full_sessionize():

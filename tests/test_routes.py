@@ -1,12 +1,19 @@
+import itertools
+import math
+import os
 import random
+import time
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from logcompass.errors import ConfigError
 from logcompass.routes import (
     CognitiveCommunity,
     SearchRoute,
+    _profile,
+    _within,
     build_transition_graph,
     compass_hops,
     detect_communities,
@@ -129,14 +136,22 @@ def test_detect_distance_three_with_threshold_two_stays_split():
     assert [c.members for c in communities] == [("u1",), ("u2",)]
 
 
+@pytest.mark.parametrize("threshold, merged", [(0.5, False), (1.0, True)])
+def test_detect_threshold_is_inclusive_at_distance_one(threshold, merged):
+    routes = [route("ab", owner="u1"), route("af", owner="u2")]
+    assert route_distance(*routes) == 1.0
+    assert len(detect_communities(routes, threshold)) == (1 if merged else 2)
+
+
 def test_detect_large_threshold_merges_everything():
     routes = [route("a", owner="u1"), route("d", owner="u2"), route("bbb", owner="u3")]
     max_d = max(
         route_distance(r1, r2) for r1 in routes for r2 in routes
     )
-    communities = detect_communities(routes, max_d)
-    assert len(communities) == 1
-    assert communities[0].members == ("u1", "u2", "u3")
+    for threshold in (max_d, math.inf):
+        communities = detect_communities(routes, threshold)
+        assert len(communities) == 1
+        assert communities[0].members == ("u1", "u2", "u3")
 
 
 def test_detect_is_a_partition_and_order_invariant():
@@ -159,6 +174,145 @@ def test_detect_rejects_duplicate_owners_and_bad_threshold():
         detect_communities([route("a", owner="u1"), route("b", owner="u1")], 0.0)
     with pytest.raises(ValueError):
         detect_communities([], -1.0)
+
+
+@pytest.mark.parametrize("threshold", [-0.5, -math.inf, math.nan])
+def test_detect_bad_threshold_is_config_error(threshold):
+    with pytest.raises(ConfigError):
+        detect_communities([route("a", owner="u1")], threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 2.0, math.inf])
+def test_detect_rejects_unknown_labels_at_any_threshold(threshold):
+    # "z" is far from every other route, so no pair comparison would reach it.
+    routes = [route("ab", owner="u1"), route("ab", owner="u2"), route("zzzzzzzzzz", owner="u3")]
+    with pytest.raises(ValueError, match="unknown node label"):
+        detect_communities(routes, threshold)
+    with pytest.raises(ValueError, match="unknown node label"):
+        detect_communities([route("az", owner="u1")], threshold)
+
+
+def test_route_distance_rejects_unknown_labels():
+    with pytest.raises(ValueError, match="unknown node label"):
+        route_distance(route("ab"), route("aq"))
+
+
+# --- exact linkage against the all-pairs oracle ------------------------------
+
+_THRESHOLDS = (0.0, 0.5, 1.0, 2.0, 2.5, 3.9, 4.0, 6.0, math.inf)
+_labels = st.sampled_from("abcdef")
+_long_steps = st.lists(_labels, min_size=1, max_size=30)
+
+
+def brute_force_communities(routes, threshold):
+    """All-pairs single linkage with the full route_distance DP on every pair."""
+    ordered = sorted(routes, key=lambda r: r.owner)
+    parent = list(range(len(ordered)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(range(len(ordered)), 2):
+        if find(i) != find(j) and route_distance(ordered[i], ordered[j]) <= threshold:
+            parent[find(i)] = find(j)
+    groups = {}
+    for i, r in enumerate(ordered):
+        groups.setdefault(find(i), []).append(r)
+    communities = []
+    for group in sorted(groups.values(), key=lambda g: g[0].owner):
+        counts = Counter(label for r in group for label in r.steps)
+        label_counts = {label: counts[label] for label in "abcdef"}
+        communities.append(
+            CognitiveCommunity(
+                community_id=len(communities),
+                members=tuple(r.owner for r in group),
+                label_counts=label_counts,
+                dominant=min(label_counts, key=lambda l: (-label_counts[l], l)),
+                size=len(group),
+            )
+        )
+    return communities
+
+
+def _mutate(draw, steps):
+    """A few random insertions, substitutions and deletions, keeping 1-30 steps."""
+    steps = list(steps)
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(steps)))
+        op = draw(st.sampled_from("isd"))
+        if op == "i" and len(steps) < 30:
+            steps.insert(pos, draw(_labels))
+        elif op == "s" and pos < len(steps):
+            steps[pos] = draw(_labels)
+        elif op == "d" and pos < len(steps) and len(steps) > 1:
+            del steps[pos]
+    return steps
+
+
+@st.composite
+def _route_sets(draw):
+    # Variants of a few random bases, so that thresholds up to 6 chain some routes.
+    bases = draw(st.lists(_long_steps, min_size=1, max_size=4))
+    routes = [
+        route(_mutate(draw, draw(st.sampled_from(bases))), owner=f"u{i:02d}")
+        for i in range(draw(st.integers(1, 40)))
+    ]
+    return draw(st.permutations(routes))
+
+
+@settings(deadline=None)
+@given(_route_sets(), st.sampled_from(_THRESHOLDS))
+def test_detect_matches_all_pairs_oracle(routes, threshold):
+    assert detect_communities(routes, threshold) == brute_force_communities(routes, threshold)
+
+
+@st.composite
+def _step_pairs(draw):
+    s1 = draw(_long_steps)
+    s2 = _mutate(draw, s1) if draw(st.booleans()) else draw(_long_steps)
+    return s1, s2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_pairs(), st.sampled_from(_THRESHOLDS + (1.5, 3.0, 5.0, 8.0, 12.0)))
+def test_within_matches_route_distance(pair, threshold):
+    s1, s2 = pair
+    expected = route_distance(route(s1), route(s2)) <= threshold
+    assert _within(_profile(s1), _profile(s2), threshold) == expected
+    assert _within(_profile(s2), _profile(s1), threshold) == expected
+
+
+def test_within_matches_route_distance_on_all_short_pairs():
+    seqs = [s for n in (1, 2) for s in itertools.product("abcdef", repeat=n)]
+    for s1, s2 in itertools.product(seqs, repeat=2):
+        d = route_distance(route(s1), route(s2))
+        for threshold in _THRESHOLDS + (3.0, 5.0):
+            assert _within(_profile(s1), _profile(s2), threshold) == (d <= threshold)
+
+
+@pytest.mark.scale
+@pytest.mark.skipif(
+    not os.environ.get("LOGCOMPASS_SCALE"),
+    reason="all-pairs oracle on hundreds of long routes; set LOGCOMPASS_SCALE=1 to enable",
+)
+@pytest.mark.parametrize("n_routes", [250, 500])
+def test_scale_linkage_matches_oracle(n_routes):
+    rng = random.Random(n_routes)
+    routes = [
+        route([rng.choice("abcdef") for _ in range(rng.randint(20, 40))], owner=f"u{i:03d}")
+        for i in range(n_routes)
+    ]
+    t0 = time.perf_counter()
+    got = detect_communities(routes, 6.0)
+    fast_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    want = brute_force_communities(routes, 6.0)
+    oracle_s = time.perf_counter() - t0
+    assert got == want
+    print(f"SCALE LINKAGE PASS: {n_routes} routes, detect_communities {fast_s:.2f}s, "
+          f"all-pairs oracle {oracle_s:.1f}s")
 
 
 def test_transition_counts():
