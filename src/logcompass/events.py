@@ -15,8 +15,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError
 from .timeutil import parse_timestamp_ms
@@ -26,9 +26,12 @@ COUNT_POLICIES = ("distinct", "raw")
 DEFAULT_GAP_SECONDS = 1800.0
 
 
-@dataclass(frozen=True, slots=True)
-class LogEvent:
-    """One content request: who fetched which item, when (epoch ms)."""
+class LogEvent(NamedTuple):
+    """One content request: who fetched which item, when (epoch ms).
+
+    A named tuple, so it is immutable and hashable and compares equal to the
+    plain tuple ``(ts_ms, user_hash, item_id, source_tag)``.
+    """
 
     ts_ms: int
     user_hash: str
@@ -94,12 +97,25 @@ def parse_events(
     raise ConfigError(f"unknown log format {log_format!r} (expected one of {LOG_FORMATS})")
 
 
+def _is_utf8(line: str) -> bool:
+    """False for text holding lone surrogates, which is how a file opened with
+    ``errors="surrogateescape"`` carries bytes that are not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _parse_delimited(lines: Iterable[str]) -> tuple[list[LogEvent], list[ParseDiagnostic]]:
     events: list[LogEvent] = []
     diags: list[ParseDiagnostic] = []
     intern = sys.intern
     append = events.append
     for line_no, raw in enumerate(lines, 1):
+        if not raw.isascii() and not _is_utf8(raw):
+            diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
+            continue
         line = raw.rstrip("\r\n")
         if not line:
             diags.append(ParseDiagnostic(line_no, "empty line"))
@@ -128,33 +144,41 @@ def _parse_delimited(lines: Iterable[str]) -> tuple[list[LogEvent], list[ParseDi
 
 
 def _parse_records(lines: Iterable[str]) -> tuple[list[LogEvent], list[ParseDiagnostic]]:
+    # json.loads yields exact int, str and dict, so `type(x) is` checks suffice;
+    # a bool ts is not an int here and gets the same diagnostic as a float.
     events: list[LogEvent] = []
     diags: list[ParseDiagnostic] = []
     intern = sys.intern
+    loads = json.loads
+    append = events.append
     for line_no, raw in enumerate(lines, 1):
+        if not raw.isascii() and not _is_utf8(raw):
+            diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
+            continue
         line = raw.strip()
         if not line:
             diags.append(ParseDiagnostic(line_no, "empty line"))
             continue
         try:
-            rec = json.loads(line)
+            rec = loads(line)
         except json.JSONDecodeError as exc:
             diags.append(ParseDiagnostic(line_no, f"invalid record: {exc.msg}"))
             continue
-        if not isinstance(rec, dict):
+        if type(rec) is not dict:
             diags.append(ParseDiagnostic(line_no, "record is not an object"))
             continue
-        missing = [k for k in ("ts", "user", "item") if k not in rec]
-        if missing:
+        try:
+            ts_val = rec["ts"]
+            user = rec["user"]
+            item = rec["item"]
+        except KeyError:
+            missing = [k for k in ("ts", "user", "item") if k not in rec]
             diags.append(ParseDiagnostic(line_no, f"missing key {missing[0]!r}"))
             continue
-        ts_val = rec["ts"]
-        if isinstance(ts_val, bool):
-            diags.append(ParseDiagnostic(line_no, "ts must be ISO-8601 text or epoch milliseconds"))
-            continue
-        if isinstance(ts_val, int):
+        ts_type = type(ts_val)
+        if ts_type is int:
             ts = ts_val
-        elif isinstance(ts_val, str):
+        elif ts_type is str:
             try:
                 ts = parse_timestamp_ms(ts_val)
             except ValueError:
@@ -163,31 +187,48 @@ def _parse_records(lines: Iterable[str]) -> tuple[list[LogEvent], list[ParseDiag
         else:
             diags.append(ParseDiagnostic(line_no, "ts must be ISO-8601 text or epoch milliseconds"))
             continue
-        user, item = rec["user"], rec["item"]
-        if not isinstance(user, str) or not isinstance(item, str) or not user or not item:
+        if type(user) is not str or type(item) is not str or not user or not item:
             diags.append(ParseDiagnostic(line_no, "user and item must be non-empty text"))
             continue
         tag = rec.get("agent")
-        if tag is not None and not isinstance(tag, str):
+        if tag is not None and type(tag) is not str:
             diags.append(ParseDiagnostic(line_no, "agent must be text"))
             continue
-        events.append(LogEvent(ts, intern(user), intern(item), tag or None))
+        append(LogEvent(ts, intern(user), intern(item), tag or None))
     return events, diags
 
 
 def filter_events(events: Iterable[LogEvent], rules: FilterRules) -> list[LogEvent]:
-    """Keep the order-preserving subsequence of events passing the rules."""
+    """Keep the order-preserving subsequence of events passing the rules.
+
+    A pattern's verdict depends only on the string it searches, so each
+    distinct item_id and source_tag is searched once and its verdict reused.
+    """
     if not rules.agent_deny_patterns and rules.item_allow_pattern is None:
         return list(events)
-    deny = [re.compile(p) for p in rules.agent_deny_patterns]
-    allow = re.compile(rules.item_allow_pattern) if rules.item_allow_pattern is not None else None
+    deny = [re.compile(p).search for p in rules.agent_deny_patterns]
+    allow = (
+        re.compile(rules.item_allow_pattern).search
+        if rules.item_allow_pattern is not None
+        else None
+    )
+    item_ok: dict[str, bool] = {}
+    tag_ok: dict[str | None, bool] = {None: True}
     out: list[LogEvent] = []
+    append = out.append
     for ev in events:
-        if allow is not None and allow.search(ev.item_id) is None:
+        item = ev[2]
+        ok = item_ok.get(item)
+        if ok is None:
+            ok = item_ok[item] = allow is None or allow(item) is not None
+        if not ok:
             continue
-        if ev.source_tag is not None and any(d.search(ev.source_tag) for d in deny):
-            continue
-        out.append(ev)
+        tag = ev[3]
+        ok = tag_ok.get(tag)
+        if ok is None:
+            ok = tag_ok[tag] = not any(d(tag) for d in deny)
+        if ok:
+            append(ev)
     return out
 
 
@@ -201,18 +242,19 @@ def session_groups(
     """
     by_user: dict[str, list[LogEvent]] = {}
     for ev in events:
-        lst = by_user.get(ev.user_hash)
+        user = ev[1]
+        lst = by_user.get(user)
         if lst is None:
-            by_user[ev.user_hash] = [ev]
+            by_user[user] = [ev]
         else:
             lst.append(ev)
-    by_ts = attrgetter("ts_ms")
+    by_ts = itemgetter(0)
     for user, evs in by_user.items():
         evs.sort(key=by_ts)
         start = 0
-        prev = evs[0].ts_ms
+        prev = evs[0][0]
         for i in range(1, len(evs)):
-            t = evs[i].ts_ms
+            t = evs[i][0]
             if t - prev > gap_ms:
                 yield user, evs[start:i]
                 start = i

@@ -93,11 +93,14 @@ def sessionize_summaries(
         raise ConfigError("gap_seconds must be positive")
     count_items([], count_policy)
     gap_ms = round(gap_seconds * 1000)
+    distinct = count_policy == "distinct"
+    # LogEvent is (ts_ms, user_hash, item_id, source_tag); (start, user) is
+    # unique, so the plain tuple sort orders drafts by it alone.
     drafts = [
-        (evs[0].ts_ms, user, evs[-1].ts_ms, count_items(evs, count_policy))
+        (evs[0][0], user, evs[-1][0], len({ev[2] for ev in evs}) if distinct else len(evs))
         for user, evs in session_groups(events, gap_ms)
     ]
-    drafts.sort(key=lambda d: (d[0], d[1]))
+    drafts.sort()
     return [
         SessionSummary(i, user, start, end, k)
         for i, (start, user, end, k) in enumerate(drafts)
@@ -150,7 +153,9 @@ def parse_log_files(
     malformed = 0
     for path in paths:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            # Bytes that are not UTF-8 decode to lone surrogates, which the
+            # parser reports per line as "invalid UTF-8".
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 got, diags = parse_events(fh, log_format)
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
@@ -313,6 +318,7 @@ def write_routes_csv(routes: Sequence[SearchRoute], path: Path) -> None:
 
 def read_routes_csv(path: Path) -> list[SearchRoute]:
     out: list[SearchRoute] = []
+    owners: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -326,6 +332,9 @@ def read_routes_csv(path: Path) -> list[SearchRoute]:
                 raise InputError(f"bad routes file {path}: row {row!r}") from None
             if not steps or any(s not in NODE_BY_LABEL for s in steps):
                 raise InputError(f"bad routes file {path}: steps {row[1]!r}")
+            if row[0] in owners:
+                raise InputError(f"bad routes file {path}: duplicate owner {row[0]!r}")
+            owners.add(row[0])
     return out
 
 

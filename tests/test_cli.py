@@ -182,3 +182,39 @@ def test_gapped_sessions_file_is_input_error(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "m")])
     assert code == 2
     assert "session_id 2 at row 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt, lines", [
+    ("a", [b"2021-03-01T00:00:00Z,u1,a1", b"2021-03-01T00:00:05Z,u\xff2,a2",
+           b"2021-03-01T00:00:10Z,u3,a3"]),
+    ("b", [b'{"ts": 0, "user": "u1", "item": "a1"}', b'{"ts": 5, "user": "u\xc3", "item": "a2"}',
+           b'{"ts": 10, "user": "u3", "item": "a3"}']),
+])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_invalid_utf8_line_is_a_diagnostic(tmp_path, capsys, fmt, lines, newline):
+    log = tmp_path / "log"
+    log.write_bytes(newline.join(lines) + newline)
+    sessions = tmp_path / "sessions.csv"
+    assert main(["ingest", "--input", str(log), "--format", fmt, "--out", str(sessions)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "line 2: invalid UTF-8\n"
+    assert "sessions: 2" in captured.out
+    rows = sessions.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["u1", "u3"]
+
+
+def test_invalid_utf8_line_does_not_stop_run(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"2021-03-01T00:00:00Z,u1,a1\n\xff\xfe\n2021-03-01T00:00:10Z,u2,a2\n")
+    assert main(["run", "--input", str(log), "--block-size", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "line 2: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_duplicate_route_owner_is_input_error(tmp_path, capsys):
+    routes = tmp_path / "routes.csv"
+    routes.write_text("owner,steps,span_start,span_end\nu1,a,1,1\nu1,b,1,1\n", encoding="utf-8")
+    out = tmp_path / "communities.csv"
+    assert main(["communities", "--routes", str(routes), "--out", str(out)]) == 2
+    assert "duplicate owner 'u1'" in capsys.readouterr().err
+    assert not out.exists()

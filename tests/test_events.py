@@ -1,17 +1,25 @@
 import json
+import re
+import sys
+import types
 
 import pytest
 from hypothesis import given, strategies as st
 
+import logcompass.events as events_module
 from helpers import make_events
 from logcompass.errors import ConfigError
 from logcompass.events import (
+    COUNT_POLICIES,
     FilterRules,
     LogEvent,
+    ParseDiagnostic,
+    _parse_records,
     filter_events,
     parse_events,
     sessionize,
 )
+from logcompass.pipeline import SessionSummary, sessionize_summaries
 from logcompass.timeutil import parse_timestamp_ms
 
 
@@ -213,3 +221,235 @@ def test_sessionize_partition_and_gap_properties(raw, gap_s):
 def test_sessionize_is_deterministic(raw):
     events = [LogEvent(t, u, i) for t, u, i in raw]
     assert sessionize(events, 30) == sessionize(list(events), 30)
+
+
+# --- LogEvent contract ---------------------------------------------------------
+
+
+def test_log_event_public_contract():
+    ev = LogEvent(5, "u1", "a1")
+    assert ev == LogEvent(ts_ms=5, user_hash="u1", item_id="a1", source_tag=None)
+    assert (ev.ts_ms, ev.user_hash, ev.item_id, ev.source_tag) == (5, "u1", "a1", None)
+    # the ingest stages read fields by position
+    assert tuple(ev) == (5, "u1", "a1", None)
+    assert LogEvent(5, "u1", "a1", "bot").source_tag == "bot"
+    with pytest.raises(AttributeError):
+        ev.ts_ms = 6
+    with pytest.raises(AttributeError):
+        ev.extra = 1
+    assert hash(ev) == hash(LogEvent(5, "u1", "a1", None))
+    assert len({ev, LogEvent(5, "u1", "a1"), LogEvent(5, "u1", "a2")}) == 2
+
+
+# --- invalid UTF-8 -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt, good", [
+    ("a", "2021-03-01T10:00:00Z,u1,a1\n"),
+    ("b", '{"ts": 0, "user": "u1", "item": "a1"}\n'),
+])
+def test_lone_surrogate_line_is_invalid_utf8(fmt, good):
+    bad = good.replace("u1", "u\udcff")
+    events, diags = parse_events([good, bad, good.replace("a1", "é")], fmt)
+    assert len(events) == 2
+    assert [str(d) for d in diags] == ["line 2: invalid UTF-8"]
+
+
+# --- filter_events against the uncached per-event oracle -----------------------
+
+
+def oracle_filter_events(events, rules):
+    """The filter before verdict caching: every pattern searched per event."""
+    if not rules.agent_deny_patterns and rules.item_allow_pattern is None:
+        return list(events)
+    deny = [re.compile(p) for p in rules.agent_deny_patterns]
+    allow = re.compile(rules.item_allow_pattern) if rules.item_allow_pattern is not None else None
+    out = []
+    for ev in events:
+        if allow is not None and allow.search(ev.item_id) is None:
+            continue
+        if ev.source_tag is not None and any(d.search(ev.source_tag) for d in deny):
+            continue
+        out.append(ev)
+    return out
+
+
+_TAGS = st.one_of(
+    st.none(),
+    st.just(""),
+    st.sampled_from(["Googlebot/2.1", "bingbot/2.0", "Baiduspider/2.0", "CCBot/2.0 crawler"]),
+    st.sampled_from(["Mozilla/5.0 (X11) Firefox/115.0", "Safari/605.1.15", "app"]),
+    st.text(max_size=6),
+)
+_ITEMS = st.one_of(
+    st.sampled_from(["/articles/i000001", "/articles/i123456", "/static/app.js", "/favicon.ico"]),
+    st.text(min_size=1, max_size=6),
+)
+_PATTERNS = st.sampled_from(
+    ["bot", "[Ss]pider", "[Cc]rawl", "^$", ".*", "^Moz", "x?", "^/articles/i[0-9]{6}$", r"\.js$", "i"]
+)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["u1", "u2"]), _ITEMS, _TAGS),
+             max_size=60),
+    st.lists(_PATTERNS, max_size=3),
+    st.one_of(st.none(), _PATTERNS),
+)
+def test_filter_matches_uncached_oracle(raw, deny, allow):
+    events = [LogEvent(*row) for row in raw]
+    rules = FilterRules(tuple(deny), allow)
+    kept = filter_events(events, rules)
+    expected = oracle_filter_events(events, rules)
+    assert kept == expected
+    # same objects in the same order, not merely equal values
+    assert [id(e) for e in kept] == [id(e) for e in expected]
+
+
+def test_filter_searches_each_distinct_string_once(monkeypatch):
+    calls = []
+
+    class SpyPattern:
+        def __init__(self, pattern):
+            self.pattern = pattern
+            self._compiled = re.compile(pattern)
+
+        def search(self, text):
+            calls.append((self.pattern, text))
+            return self._compiled.search(text)
+
+    monkeypatch.setattr(
+        events_module, "re", types.SimpleNamespace(compile=SpyPattern, error=re.error)
+    )
+    rules = FilterRules(("bot", "spider"), "^/a/")
+    events = [
+        LogEvent(t, "u1", item, tag)
+        for t in range(50)
+        for item, tag in [("/a/1", "human"), ("/a/2", "Googlebot"), ("/x", "human"),
+                          ("/a/1", None), ("/a/2", "spider"), ("/a/1", "")]
+    ]
+    kept = filter_events(events, rules)
+    assert kept == oracle_filter_events(events, FilterRules(("bot", "spider"), "^/a/"))
+    assert len(calls) == len(set(calls))
+    items = {text for pat, text in calls if pat == "^/a/"}
+    assert items == {"/a/1", "/a/2", "/x"}
+    tags = [(pat, text) for pat, text in calls if pat != "^/a/"]
+    # "human" passes both patterns; "Googlebot" stops at "bot"; None is never searched
+    assert sorted(tags) == sorted([
+        ("bot", "human"), ("spider", "human"), ("bot", "Googlebot"),
+        ("bot", "spider"), ("spider", "spider"), ("bot", ""), ("spider", ""),
+    ])
+
+
+# --- _parse_records against the isinstance-based oracle ------------------------
+
+
+def oracle_parse_records(lines):
+    """Format-b parsing before the exact-type rewrite (no UTF-8 check)."""
+    events, diags = [], []
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            diags.append(ParseDiagnostic(line_no, "empty line"))
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            diags.append(ParseDiagnostic(line_no, f"invalid record: {exc.msg}"))
+            continue
+        if not isinstance(rec, dict):
+            diags.append(ParseDiagnostic(line_no, "record is not an object"))
+            continue
+        missing = [k for k in ("ts", "user", "item") if k not in rec]
+        if missing:
+            diags.append(ParseDiagnostic(line_no, f"missing key {missing[0]!r}"))
+            continue
+        ts_val = rec["ts"]
+        if isinstance(ts_val, bool):
+            diags.append(ParseDiagnostic(line_no, "ts must be ISO-8601 text or epoch milliseconds"))
+            continue
+        if isinstance(ts_val, int):
+            ts = ts_val
+        elif isinstance(ts_val, str):
+            try:
+                ts = parse_timestamp_ms(ts_val)
+            except ValueError:
+                diags.append(ParseDiagnostic(line_no, f"bad timestamp {ts_val!r}"))
+                continue
+        else:
+            diags.append(ParseDiagnostic(line_no, "ts must be ISO-8601 text or epoch milliseconds"))
+            continue
+        user, item = rec["user"], rec["item"]
+        if not isinstance(user, str) or not isinstance(item, str) or not user or not item:
+            diags.append(ParseDiagnostic(line_no, "user and item must be non-empty text"))
+            continue
+        tag = rec.get("agent")
+        if tag is not None and not isinstance(tag, str):
+            diags.append(ParseDiagnostic(line_no, "agent must be text"))
+            continue
+        events.append(LogEvent(ts, sys.intern(user), sys.intern(item), tag or None))
+    return events, diags
+
+
+_TS_VALUES = st.one_of(
+    st.integers(-(10**15), 10**15),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["2021-03-01T10:00:00Z", "2021-03-01 10:00:00.5", "2021-03-01T10:00:00+02:00",
+                     "2021-13-01T00:00:00Z", "yesterday", ""]),
+    st.none(),
+    st.just([1]),
+)
+_TEXT_VALUES = st.one_of(st.sampled_from(["u1", "/articles/i000001", "é", "bot"]), st.text(max_size=4))
+_FIELD_VALUES = st.one_of(
+    _TEXT_VALUES, _TEXT_VALUES, st.integers(), st.none(), st.booleans(), st.just({})
+)
+_RECORDS = st.one_of(
+    # any subset of the keys
+    st.fixed_dictionaries(
+        {},
+        optional={"ts": _TS_VALUES, "user": _FIELD_VALUES, "item": _FIELD_VALUES,
+                  "agent": _FIELD_VALUES, "extra": st.integers()},
+    ),
+    # every required key, so that the later checks are reached
+    st.fixed_dictionaries(
+        {"ts": _TS_VALUES, "user": _FIELD_VALUES, "item": _FIELD_VALUES},
+        optional={"agent": _FIELD_VALUES},
+    ),
+    # valid up to the agent check
+    st.fixed_dictionaries(
+        {"ts": st.one_of(st.integers(0, 2 * 10**12), st.just("2021-03-01T10:00:00Z")),
+         "user": _TEXT_VALUES.filter(bool), "item": _TEXT_VALUES.filter(bool)},
+        optional={"agent": st.one_of(st.sampled_from(["", "Googlebot"]), _FIELD_VALUES)},
+    ),
+)
+_RECORD_LINES = st.one_of(
+    _RECORDS.map(json.dumps),
+    _RECORDS.map(lambda r: json.dumps(r, ensure_ascii=False)),
+    st.tuples(_RECORDS.map(json.dumps), st.integers(0, 60)).map(lambda p: p[0][: p[1]]),
+    st.sampled_from(["", "   ", "[1, 2]", "3", '"x"', "null", "true", "{not json}",
+                     '{"ts": 0} {}', "\ufeff{}", '{"ts": 0, "ts": 1}']),
+    st.text(max_size=8),
+).map(lambda s: s + "\n")
+
+
+@given(st.lists(_RECORD_LINES, max_size=25))
+def test_parse_records_matches_oracle(lines):
+    events, diags = _parse_records(lines)
+    want_events, want_diags = oracle_parse_records(lines)
+    assert events == want_events
+    assert [type(e.ts_ms) for e in events] == [type(e.ts_ms) for e in want_events]
+    assert [str(d) for d in diags] == [str(d) for d in want_diags]
+
+
+# --- sessionize_summaries against events.sessionize ----------------------------
+
+
+@given(_event_lists, st.integers(min_value=1, max_value=120), st.sampled_from(COUNT_POLICIES))
+def test_sessionize_summaries_match_sessionize(raw, gap_s, policy):
+    events = [LogEvent(t, u, i) for t, u, i in raw]
+    expected = [
+        SessionSummary(s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
+        for s in sessionize(events, gap_s, count_policy=policy)
+    ]
+    assert sessionize_summaries(events, gap_s, policy) == expected
