@@ -12,19 +12,15 @@ none of the three.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
-
-
-class SessionLike(Protocol):
-    """Anything carrying a per-session item count (full sessions or summaries)."""
-
-    k_items: int
+from typing import Sequence
 
 
 @dataclass(frozen=True)
 class Block:
+    """k_items[j] is the item count K of the block's j-th session."""
+
     block_index: int
-    sessions: tuple[SessionLike, ...]
+    k_items: tuple[int, ...]
     search_volume: int
 
 
@@ -50,28 +46,28 @@ class BlockMetrics:
     variety: float | None = None
 
 
-def partition_blocks(sessions: Sequence[SessionLike], block_size: int) -> list[Block]:
-    """Cut sessions (already in global order) into consecutive runs of block_size.
+def partition_blocks(k_items: Sequence[int], block_size: int) -> list[Block]:
+    """Cut the K values of sessions (already in global order) into consecutive
+    runs of block_size.
 
     The final block may be smaller; its search_volume says so. An empty
-    session list yields an empty block list.
+    sequence yields an empty block list.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     blocks: list[Block] = []
-    for i in range(0, len(sessions), block_size):
-        chunk = tuple(sessions[i : i + block_size])
+    for i in range(0, len(k_items), block_size):
+        chunk = tuple(k_items[i : i + block_size])
         blocks.append(Block(len(blocks), chunk, len(chunk)))
     return blocks
 
 
 def compute_histogram(block: Block) -> UsageHistogram:
     """Count sessions per intensity value; entry counts sum to the block volume."""
-    if not block.sessions:
+    if not block.k_items:
         raise ValueError("empty block")
     entries: dict[int, int] = {}
-    for s in block.sessions:
-        k = s.k_items
+    for k in block.k_items:
         if k < 1:
             raise ValueError(f"k_items must be >= 1, got {k}")
         entries[k] = entries.get(k, 0) + 1

@@ -190,6 +190,13 @@ def _parse_records(lines: Iterable[str]) -> tuple[list[LogEvent], list[ParseDiag
         if type(user) is not str or type(item) is not str or not user or not item:
             diags.append(ParseDiagnostic(line_no, "user and item must be non-empty text"))
             continue
+        # A valid line can still escape a lone surrogate (\ud800), which no
+        # UTF-8 artifact can hold.
+        if (not user.isascii() and not _is_utf8(user)) or (
+            not item.isascii() and not _is_utf8(item)
+        ):
+            diags.append(ParseDiagnostic(line_no, "user and item must be valid Unicode text"))
+            continue
         tag = rec.get("agent")
         if tag is not None and type(tag) is not str:
             diags.append(ParseDiagnostic(line_no, "agent must be text"))

@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .blocks import (
     BlockMetrics,
@@ -75,20 +76,26 @@ _NODE_LABELS = tuple(sorted(NODE_BY_LABEL))
 
 
 @dataclass(frozen=True, slots=True)
-class SessionSummary:
-    """The per-session record persisted in sessions.csv."""
+class SessionTable:
+    """The sessions persisted in sessions.csv, one list per column.
 
-    session_id: int
-    user_hash: str
-    start_ms: int
-    end_ms: int
-    k_items: int
+    Row i is session i: ids are row positions and are not stored. len() is
+    the number of sessions, so an empty table is falsy.
+    """
+
+    user_hash: list[str]
+    start_ms: list[int]
+    end_ms: list[int]
+    k_items: list[int]
+
+    def __len__(self) -> int:
+        return len(self.k_items)
 
 
 def sessionize_summaries(
     events: Iterable[LogEvent], gap_seconds: float, count_policy: str = "distinct"
-) -> list[SessionSummary]:
-    """Like events.sessionize but keeps only summaries (same ids and order)."""
+) -> SessionTable:
+    """Like events.sessionize but keeps only the summary columns (same ids and order)."""
     if not gap_seconds > 0:
         raise ConfigError("gap_seconds must be positive")
     count_items([], count_policy)
@@ -101,10 +108,10 @@ def sessionize_summaries(
         for user, evs in session_groups(events, gap_ms)
     ]
     drafts.sort()
-    return [
-        SessionSummary(i, user, start, end, k)
-        for i, (start, user, end, k) in enumerate(drafts)
-    ]
+    # One pass per column: zip(*drafts) would hold an iterator per session.
+    return SessionTable(
+        [d[1] for d in drafts], [d[0] for d in drafts], [d[2] for d in drafts], [d[3] for d in drafts]
+    )
 
 
 @dataclass
@@ -173,37 +180,69 @@ def _open_w(path: Path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def write_sessions_csv(summaries: Sequence[SessionSummary], path: Path) -> None:
+def _text_writer(fh: IO[str], texts: Iterable[str]):
+    """A csv writer for rows holding free text such as user hashes.
+
+    csv quotes a field only for the characters of its line terminator, so
+    with LF endings a bare CR would end the row when read back; a file with
+    any text holding CR quotes every text field instead.
+    """
+    quoting = csv.QUOTE_NONNUMERIC if any("\r" in t for t in texts) else csv.QUOTE_MINIMAL
+    return csv.writer(fh, lineterminator="\n", quoting=quoting)
+
+
+@contextmanager
+def _reading(path: Path, kind: str) -> Iterator[Iterator[list[str]]]:
+    """csv rows of an artifact file; text that is not UTF-8 is an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield csv.reader(fh)
+    except UnicodeDecodeError:
+        raise InputError(f"bad {kind} file {path}: not UTF-8 text") from None
+
+
+_SESSION_COLS = ["session_id", "user_hash", "start_ms", "end_ms", "k_items"]
+
+
+def write_sessions_csv(table: SessionTable, path: Path) -> None:
     with _open_w(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["session_id", "user_hash", "start_ms", "end_ms", "k_items"])
+        w = _text_writer(fh, set(table.user_hash))
+        w.writerow(_SESSION_COLS)
         w.writerows(
-            (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
-            for s in summaries
+            zip(range(len(table)), table.user_hash, table.start_ms, table.end_ms, table.k_items)
         )
 
 
-def read_sessions_csv(path: Path) -> list[SessionSummary]:
-    out: list[SessionSummary] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["session_id", "user_hash", "start_ms", "end_ms", "k_items"]:
+def read_sessions_csv(path: Path) -> SessionTable:
+    users: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    ks: list[int] = []
+    # One str object per distinct user, however many sessions name it.
+    seen: dict[str, str] = {}
+    intern = seen.setdefault
+    with _reading(path, "sessions") as reader:
+        if next(reader, None) != _SESSION_COLS:
             raise InputError(f"bad sessions file {path}: unexpected header")
         for i, row in enumerate(reader):
             try:
-                s = SessionSummary(int(row[0]), row[1], int(row[2]), int(row[3]), int(row[4]))
+                session_id = int(row[0])
+                start, end, k = int(row[2]), int(row[3]), int(row[4])
             except (IndexError, ValueError):
                 raise InputError(f"bad sessions file {path}: row {row!r}") from None
-            if s.k_items < 1:
+            if k < 1:
                 raise InputError(f"bad sessions file {path}: k_items < 1 in row {row!r}")
-            if s.session_id != i:
+            if session_id != i:
                 raise InputError(
-                    f"bad sessions file {path}: session_id {s.session_id} at row {i}"
+                    f"bad sessions file {path}: session_id {session_id} at row {i}"
                     " (ids must run 0..n-1 in order)"
                 )
-            out.append(s)
-    return out
+            user = row[1]
+            users.append(intern(user, user))
+            starts.append(start)
+            ends.append(end)
+            ks.append(k)
+    return SessionTable(users, starts, ends, ks)
 
 
 _METRIC_COLS = [
@@ -250,8 +289,7 @@ def write_metrics_jsonl(metrics: Sequence[BlockMetrics], path: Path) -> None:
 
 def read_metrics_csv(path: Path) -> list[BlockMetrics]:
     out: list[BlockMetrics] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _reading(path, "metrics") as reader:
         header = next(reader, None)
         if header != _METRIC_COLS:
             raise InputError(f"bad metrics file {path}: unexpected header")
@@ -292,8 +330,7 @@ def write_classifications_csv(cls: Sequence[BlockClassification], path: Path) ->
 
 def read_classifications_csv(path: Path) -> list[BlockClassification]:
     out: list[BlockClassification] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _reading(path, "classifications") as reader:
         header = next(reader, None)
         if header != _CLASSIFICATION_COLS:
             raise InputError(f"bad classifications file {path}: unexpected header")
@@ -310,7 +347,7 @@ def read_classifications_csv(path: Path) -> list[BlockClassification]:
 
 def write_routes_csv(routes: Sequence[SearchRoute], path: Path) -> None:
     with _open_w(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        w = _text_writer(fh, [r.owner for r in routes])
         w.writerow(["owner", "steps", "span_start", "span_end"])
         for r in routes:
             w.writerow([r.owner, ",".join(r.steps), r.span[0], r.span[1]])
@@ -319,8 +356,7 @@ def write_routes_csv(routes: Sequence[SearchRoute], path: Path) -> None:
 def read_routes_csv(path: Path) -> list[SearchRoute]:
     out: list[SearchRoute] = []
     owners: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _reading(path, "routes") as reader:
         header = next(reader, None)
         if header != ["owner", "steps", "span_start", "span_end"]:
             raise InputError(f"bad routes file {path}: unexpected header")
@@ -348,8 +384,7 @@ def write_transitions_csv(tg: TransitionGraph, path: Path) -> None:
 
 def read_transitions_csv(path: Path) -> TransitionGraph:
     counts: dict[tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _reading(path, "transitions") as reader:
         header = next(reader, None)
         if header != ["from", "to", "count"]:
             raise InputError(f"bad transitions file {path}: unexpected header")
@@ -381,8 +416,7 @@ def write_communities_csv(
 
 
 def read_communities_count(path: Path) -> int:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _reading(path, "communities") as reader:
         header = next(reader, None)
         if not header or header[0] != "community_id":
             raise InputError(f"bad communities file {path}: unexpected header")
@@ -392,10 +426,8 @@ def read_communities_count(path: Path) -> int:
 # --- stages -----------------------------------------------------------------
 
 
-def metrics_from_summaries(
-    summaries: Sequence[SessionSummary], block_size: int
-) -> list[BlockMetrics]:
-    blocks = partition_blocks(summaries, block_size)
+def metrics_from_summaries(sessions: SessionTable, block_size: int) -> list[BlockMetrics]:
+    blocks = partition_blocks(sessions.k_items, block_size)
     means = [compute_block_means(compute_histogram(b), b) for b in blocks]
     return compute_variety_series(means)
 
@@ -410,24 +442,23 @@ def classify_series(
     return [classify_block(m, bounds, cfg) for m in metrics[1:]]
 
 
-def block_user_map(
-    summaries: Sequence[SessionSummary], block_size: int
-) -> dict[int, set[str]]:
-    out: dict[int, set[str]] = {}
-    for s in summaries:
-        out.setdefault(s.session_id // block_size, set()).add(s.user_hash)
-    return out
+def block_user_map(sessions: SessionTable, block_size: int) -> dict[int, set[str]]:
+    users = sessions.user_hash
+    return {
+        b: set(users[i : i + block_size])
+        for b, i in enumerate(range(0, len(users), block_size))
+    }
 
 
 def routes_from_classifications(
     classifications: Sequence[BlockClassification],
-    summaries: Sequence[SessionSummary],
+    sessions: SessionTable,
     block_size: int,
     grouping: str,
 ) -> tuple[list[SearchRoute], TransitionGraph]:
     classified = [(c.block_index, c.node.label) for c in classifications]
     if grouping == "user":
-        routes = extract_routes(classified, "user", block_user_map(summaries, block_size))
+        routes = extract_routes(classified, "user", block_user_map(sessions, block_size))
     else:
         routes = extract_routes(classified, "stream")
     return routes, build_transition_graph(routes)

@@ -1,8 +1,13 @@
-"""Shared factories for building consistent sessions and events in tests."""
+"""Shared factories and reference implementations for tests."""
 
 from __future__ import annotations
 
-from logcompass.events import LogEvent, Session
+import csv
+from dataclasses import dataclass
+from pathlib import Path
+
+from logcompass.errors import InputError
+from logcompass.events import LogEvent
 
 
 def make_events(spec):
@@ -15,15 +20,42 @@ def make_events(spec):
     return out
 
 
-def make_session(session_id: int, k: int, user: str = "u1", start_s: int = 0) -> Session:
-    events = tuple(
-        LogEvent((start_s + j) * 1000, user, f"item{j}") for j in range(k)
-    )
-    return Session(
-        session_id=session_id,
-        user_hash=user,
-        events=events,
-        start_ms=start_s * 1000,
-        end_ms=(start_s + k - 1) * 1000,
-        k_items=k,
-    )
+def table_rows(table):
+    """A SessionTable as (session_id, user_hash, start_ms, end_ms, k_items) tuples."""
+    return list(zip(range(len(table)), table.user_hash, table.start_ms, table.end_ms, table.k_items))
+
+
+@dataclass(frozen=True, slots=True)
+class SessionSummary:
+    """One sessions.csv row as an object, as the row-object reader held it."""
+
+    session_id: int
+    user_hash: str
+    start_ms: int
+    end_ms: int
+    k_items: int
+
+
+def oracle_read_sessions_csv(path: Path) -> list[SessionSummary]:
+    """The row-object sessions.csv reader that read_sessions_csv replaced,
+    kept as the reference for its rows and its error messages."""
+    out: list[SessionSummary] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["session_id", "user_hash", "start_ms", "end_ms", "k_items"]:
+            raise InputError(f"bad sessions file {path}: unexpected header")
+        for i, row in enumerate(reader):
+            try:
+                s = SessionSummary(int(row[0]), row[1], int(row[2]), int(row[3]), int(row[4]))
+            except (IndexError, ValueError):
+                raise InputError(f"bad sessions file {path}: row {row!r}") from None
+            if s.k_items < 1:
+                raise InputError(f"bad sessions file {path}: k_items < 1 in row {row!r}")
+            if s.session_id != i:
+                raise InputError(
+                    f"bad sessions file {path}: session_id {s.session_id} at row {i}"
+                    " (ids must run 0..n-1 in order)"
+                )
+            out.append(s)
+    return out

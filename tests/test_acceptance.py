@@ -33,7 +33,6 @@ from logcompass.pipeline import (
     ARTIFACT_FILES,
     GRAPH_FILES,
     PipelineConfig,
-    SessionSummary,
     run_pipeline,
 )
 from logcompass.routes import SearchRoute, detect_communities, route_distance
@@ -159,11 +158,8 @@ def test_criterion_4_metrics_conservation():
         n_items=200, sessions_per_block=50, n_blocks=1000,
         k_distribution="heavy-tail", seed=404,
     )
-    summaries = [
-        SessionSummary(i, s.user_hash, s.start_ms, s.start_ms, len(s.item_ids))
-        for i, s in enumerate(generate_sessions(profile))
-    ]
-    blocks = partition_blocks(summaries, 50)
+    k_items = [len(s.item_ids) for s in generate_sessions(profile)]
+    blocks = partition_blocks(k_items, 50)
     assert len(blocks) == 1000
     for b in blocks:
         hist = compute_histogram(b)
@@ -177,11 +173,8 @@ def test_criterion_4_metrics_conservation():
     constant = SynthProfile(
         sessions_per_block=40, n_blocks=30, k_distribution="uniform-range(4,4)", seed=1
     )
-    const_summaries = [
-        SessionSummary(i, s.user_hash, s.start_ms, s.start_ms, len(s.item_ids))
-        for i, s in enumerate(generate_sessions(constant))
-    ]
-    const_blocks = partition_blocks(const_summaries, 40)
+    const_k_items = [len(s.item_ids) for s in generate_sessions(constant)]
+    const_blocks = partition_blocks(const_k_items, 40)
     const_metrics = compute_variety_series(
         [compute_block_means(compute_histogram(b), b) for b in const_blocks]
     )

@@ -3,7 +3,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import make_session
 from logcompass.blocks import (
     Block,
     BlockMetrics,
@@ -15,13 +14,8 @@ from logcompass.blocks import (
 )
 
 
-def sessions_with_k(ks, user="u1"):
-    return [make_session(i, k, user=user, start_s=i * 10_000) for i, k in enumerate(ks)]
-
-
 def block_of(ks, index=0):
-    sessions = tuple(sessions_with_k(ks))
-    return Block(index, sessions, len(sessions))
+    return Block(index, tuple(ks), len(ks))
 
 
 def metrics_of(ks, index=0):
@@ -30,13 +24,13 @@ def metrics_of(ks, index=0):
 
 
 def test_partition_sizes():
-    blocks = partition_blocks(sessions_with_k([1] * 25), 10)
+    blocks = partition_blocks([1] * 25, 10)
     assert [b.search_volume for b in blocks] == [10, 10, 5]
     assert [b.block_index for b in blocks] == [0, 1, 2]
 
 
 def test_partition_single_full_block():
-    blocks = partition_blocks(sessions_with_k([1] * 10_000), 10_000)
+    blocks = partition_blocks([1] * 10_000, 10_000)
     assert len(blocks) == 1
     assert blocks[0].search_volume == 10_000
 
@@ -46,10 +40,10 @@ def test_partition_empty():
 
 
 def test_partition_contiguity():
-    sessions = sessions_with_k([1] * 23)
-    blocks = partition_blocks(sessions, 7)
-    rejoined = [s for b in blocks for s in b.sessions]
-    assert rejoined == sessions
+    ks = list(range(1, 24))  # distinct values, so order is checked too
+    blocks = partition_blocks(ks, 7)
+    rejoined = [k for b in blocks for k in b.k_items]
+    assert rejoined == ks
 
 
 def test_partition_rejects_bad_size():
@@ -60,16 +54,16 @@ def test_partition_rejects_bad_size():
 @pytest.mark.parametrize("n", range(0, 23))
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 7])
 def test_partition_count_matches_brute_force(n, size):
-    sessions = sessions_with_k([1] * n)
-    blocks = partition_blocks(sessions, size)
+    ks = list(range(1, n + 1))
+    blocks = partition_blocks(ks, size)
     # brute-force splitter
     expected = []
-    rest = list(sessions)
+    rest = list(ks)
     while rest:
         expected.append(rest[:size])
         rest = rest[size:]
     assert len(blocks) == len(expected) == math.ceil(n / size)
-    assert [len(b.sessions) for b in blocks] == [len(c) for c in expected]
+    assert [list(b.k_items) for b in blocks] == expected
 
 
 def test_histogram_counts():

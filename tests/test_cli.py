@@ -211,6 +211,51 @@ def test_invalid_utf8_line_does_not_stop_run(tmp_path, capsys):
     assert "line 2: invalid UTF-8" in capsys.readouterr().err
 
 
+def test_escaped_lone_surrogate_is_a_diagnostic(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"ts": 0, "user": "\\ud800", "item": "a1"}\n{"ts": 5, "user": "u2", "item": "a2"}\n',
+                   encoding="utf-8")
+    assert main(["run", "--input", str(log), "--format", "b", "--block-size", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == "line 1: user and item must be valid Unicode text\n"
+    rows = (tmp_path / "out" / "sessions.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1:] == ["0,u2,5,5,1"]
+
+
+@pytest.mark.parametrize("cmd, artifact, text", [
+    (["metrics", "--block-size", "1"], "sessions", "session_id,user_hash,start_ms,end_ms,k_items\n0,u\xff,0,0,1\n"),
+    (["communities"], "routes", "owner,steps,span_start,span_end\nu\xff,a,1,1\n"),
+])
+def test_non_utf8_artifact_exits_2(tmp_path, capsys, cmd, artifact, text):
+    path = tmp_path / f"{artifact}.csv"
+    path.write_bytes(text.encode("latin-1"))
+    out = ["--out-dir", str(tmp_path)] if cmd[0] == "metrics" else ["--out", str(tmp_path / "c.csv")]
+    assert main(cmd + [f"--{artifact}", str(path)] + out) == 2
+    assert capsys.readouterr().err == f"input error: bad {artifact} file {path}: not UTF-8 text\n"
+
+
+def test_user_with_cr_round_trips_through_stage_commands(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(
+        f'{{"ts": {t}, "user": "{u}", "item": "a{t}"}}\n'
+        for t, u in [(0, "a\\rb"), (1, "u2"), (4_000_000, "a\\rb"), (4_000_001, "u2")]
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(log), "--format", "b", "--block-size", "1",
+                 "--grouping", "user", "--out", str(out)]) == 0
+    stages = tmp_path / "stages"
+    sessions = str(out / "sessions.csv")
+    assert main(["metrics", "--sessions", sessions, "--block-size", "1", "--out-dir", str(stages)]) == 0
+    assert main(["classify", "--metrics", str(stages / "block_metrics.csv"),
+                 "--out", str(stages / "classifications.csv")]) == 0
+    assert main(["routes", "--classifications", str(stages / "classifications.csv"),
+                 "--sessions", sessions, "--block-size", "1", "--grouping", "user",
+                 "--out-dir", str(stages)]) == 0
+    for name in ("block_metrics.csv", "classifications.csv", "routes.csv"):
+        assert (stages / name).read_bytes() == (out / name).read_bytes(), name
+    assert b'"a\rb"' in (out / "routes.csv").read_bytes()
+
+
 def test_duplicate_route_owner_is_input_error(tmp_path, capsys):
     routes = tmp_path / "routes.csv"
     routes.write_text("owner,steps,span_start,span_end\nu1,a,1,1\nu1,b,1,1\n", encoding="utf-8")

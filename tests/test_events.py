@@ -19,7 +19,7 @@ from logcompass.events import (
     parse_events,
     sessionize,
 )
-from logcompass.pipeline import SessionSummary, sessionize_summaries
+from logcompass.pipeline import SessionTable, sessionize_summaries
 from logcompass.timeutil import parse_timestamp_ms
 
 
@@ -255,6 +255,17 @@ def test_lone_surrogate_line_is_invalid_utf8(fmt, good):
     assert [str(d) for d in diags] == ["line 2: invalid UTF-8"]
 
 
+@pytest.mark.parametrize("field", ["user", "item"])
+@pytest.mark.parametrize("text", ["\\ud800", "x\\udfff", "\\udc80\\ud800", "é\\ud800"])
+def test_escaped_lone_surrogate_is_a_diagnostic(field, text):
+    good = '{"ts": 0, "user": "u1", "item": "a1"}\n'
+    bad = good.replace({"user": "u1", "item": "a1"}[field], text)
+    pair = good.replace("u1", "\\ud83d\\ude00")  # an escaped pair is one valid character
+    events, diags = parse_events([good, bad, pair], "b")
+    assert [e.user_hash for e in events] == ["u1", "\U0001f600"]
+    assert [str(d) for d in diags] == ["line 2: user and item must be valid Unicode text"]
+
+
 # --- filter_events against the uncached per-event oracle -----------------------
 
 
@@ -345,9 +356,20 @@ def test_filter_searches_each_distinct_string_once(monkeypatch):
 
 
 def oracle_parse_records(lines):
-    """Format-b parsing before the exact-type rewrite (no UTF-8 check)."""
+    """Format-b parsing before the exact-type rewrite, with both UTF-8 checks."""
+
+    def utf8(text):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return True
+
     events, diags = [], []
     for line_no, raw in enumerate(lines, 1):
+        if not utf8(raw):
+            diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
+            continue
         line = raw.strip()
         if not line:
             diags.append(ParseDiagnostic(line_no, "empty line"))
@@ -383,6 +405,9 @@ def oracle_parse_records(lines):
         if not isinstance(user, str) or not isinstance(item, str) or not user or not item:
             diags.append(ParseDiagnostic(line_no, "user and item must be non-empty text"))
             continue
+        if not utf8(user) or not utf8(item):
+            diags.append(ParseDiagnostic(line_no, "user and item must be valid Unicode text"))
+            continue
         tag = rec.get("agent")
         if tag is not None and not isinstance(tag, str):
             diags.append(ParseDiagnostic(line_no, "agent must be text"))
@@ -400,7 +425,9 @@ _TS_VALUES = st.one_of(
     st.none(),
     st.just([1]),
 )
-_TEXT_VALUES = st.one_of(st.sampled_from(["u1", "/articles/i000001", "é", "bot"]), st.text(max_size=4))
+_TEXT_VALUES = st.one_of(
+    st.sampled_from(["u1", "/articles/i000001", "é", "bot", "\ud800", "é\udfff"]), st.text(max_size=4)
+)
 _FIELD_VALUES = st.one_of(
     _TEXT_VALUES, _TEXT_VALUES, st.integers(), st.none(), st.booleans(), st.just({})
 )
@@ -448,8 +475,12 @@ def test_parse_records_matches_oracle(lines):
 @given(_event_lists, st.integers(min_value=1, max_value=120), st.sampled_from(COUNT_POLICIES))
 def test_sessionize_summaries_match_sessionize(raw, gap_s, policy):
     events = [LogEvent(t, u, i) for t, u, i in raw]
-    expected = [
-        SessionSummary(s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
-        for s in sessionize(events, gap_s, count_policy=policy)
-    ]
+    sessions = sessionize(events, gap_s, count_policy=policy)
+    assert [s.session_id for s in sessions] == list(range(len(sessions)))
+    expected = SessionTable(
+        [s.user_hash for s in sessions],
+        [s.start_ms for s in sessions],
+        [s.end_ms for s in sessions],
+        [s.k_items for s in sessions],
+    )
     assert sessionize_summaries(events, gap_s, policy) == expected

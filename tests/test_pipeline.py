@@ -1,17 +1,24 @@
+import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from helpers import make_events, oracle_read_sessions_csv, table_rows
 from logcompass.errors import InputError
 from logcompass.events import FilterRules
 from logcompass.pipeline import (
     ARTIFACT_FILES,
     GRAPH_FILES,
     PipelineConfig,
-    SessionSummary,
+    SessionTable,
     block_user_map,
     classify_series,
     metrics_from_summaries,
@@ -20,6 +27,7 @@ from logcompass.pipeline import (
     read_metrics_csv,
     read_routes_csv,
     read_sessions_csv,
+    read_transitions_csv,
     report_stats,
     routes_from_classifications,
     run_pipeline,
@@ -29,7 +37,7 @@ from logcompass.pipeline import (
     write_routes_csv,
     write_sessions_csv,
 )
-from logcompass.synth import SynthProfile, write_log
+from logcompass.synth import EVENT_SPACING_S, SynthProfile, generate_sessions, write_log
 
 
 @pytest.fixture()
@@ -67,14 +75,14 @@ def test_report_shares_sum_to_hundred(tmp_path, corpus):
 
 def test_report_matches_independent_recount(tmp_path, corpus):
     cfg, report = run(tmp_path, corpus)
-    summaries = read_sessions_csv(cfg.out_dir / ARTIFACT_FILES["sessions"])
+    sessions = read_sessions_csv(cfg.out_dir / ARTIFACT_FILES["sessions"])
     classifications = read_classifications_csv(
         cfg.out_dir / ARTIFACT_FILES["classifications"]
     )
     label_of_block = {c.block_index: c.node.label for c in classifications}
     counts = dict.fromkeys("abcdef", 0)
-    for s in summaries:
-        label = label_of_block.get(s.session_id // cfg.block_size)
+    for session_id in range(len(sessions)):
+        label = label_of_block.get(session_id // cfg.block_size)
         if label is not None:
             counts[label] += 1
     for label in "abcdef":
@@ -163,8 +171,8 @@ def test_per_user_grouping_produces_user_routes(tmp_path, corpus):
     cfg, report = run(tmp_path, corpus, grouping="user")
     routes = read_routes_csv(cfg.out_dir / ARTIFACT_FILES["routes"])
     assert report["route_count"] == len(routes) > 1
-    summaries = read_sessions_csv(cfg.out_dir / ARTIFACT_FILES["sessions"])
-    assert {r.owner for r in routes} <= {s.user_hash for s in summaries}
+    sessions = read_sessions_csv(cfg.out_dir / ARTIFACT_FILES["sessions"])
+    assert {r.owner for r in routes} <= set(sessions.user_hash)
 
 
 def test_infinite_linkage_puts_every_user_in_one_community(tmp_path, corpus):
@@ -205,25 +213,27 @@ def test_report_stats_table(tmp_path, corpus):
 
 
 def test_sessions_csv_round_trip(tmp_path):
-    summaries = [
-        SessionSummary(0, "u1", 0, 1000, 2),
-        SessionSummary(1, "u2", 5000, 5000, 1),
-    ]
+    table = SessionTable(["u1", "u2"], [0, 5000], [1000, 5000], [2, 1])
     path = tmp_path / "sessions.csv"
-    write_sessions_csv(summaries, path)
-    assert read_sessions_csv(path) == summaries
+    write_sessions_csv(table, path)
+    assert path.read_text(encoding="utf-8") == (
+        "session_id,user_hash,start_ms,end_ms,k_items\n0,u1,0,1000,2\n1,u2,5000,5000,1\n"
+    )
+    assert read_sessions_csv(path) == table
 
 
 @pytest.mark.parametrize("ids", [[0, 2], [1, 0], [1, 2], [0, 0]])
 def test_sessions_csv_rejects_gapped_or_reordered_ids(tmp_path, ids):
     path = tmp_path / "sessions.csv"
-    write_sessions_csv([SessionSummary(i, "u1", 0, 0, 1) for i in ids], path)
+    path.write_text(
+        "session_id,user_hash,start_ms,end_ms,k_items\n" + "".join(f"{i},u1,0,0,1\n" for i in ids),
+        encoding="utf-8",
+    )
     with pytest.raises(InputError, match="ids must run 0..n-1"):
         read_sessions_csv(path)
 
 
 def test_sessionize_summaries_matches_full_sessionize():
-    from helpers import make_events
     from logcompass.events import sessionize
 
     events = make_events(
@@ -233,18 +243,223 @@ def test_sessionize_summaries_matches_full_sessionize():
     summaries = sessionize_summaries(events, 1800)
     assert [
         (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items) for s in sessions
-    ] == [
-        (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items) for s in summaries
+    ] == table_rows(summaries)
+
+
+def test_metrics_read_the_k_column():
+    table = SessionTable(["u1", "u2", "u1", "u3", "u2"], [0, 1, 2, 3, 4], [9, 9, 9, 9, 9], [1, 3, 3, 2, 5])
+    metrics = metrics_from_summaries(table, 2)
+    assert [(m.block_index, m.q, m.mean_n, m.mean_k, m.k_min, m.k_max) for m in metrics] == [
+        (0, 2, 1.0, 2.0, 1, 3), (1, 2, 1.0, 2.5, 2, 3), (2, 1, 1.0, 5.0, 5, 5)
     ]
+    assert [m.beta for m in metrics] == [None, 1.25, 2.0]
 
 
 def test_block_user_map(tmp_path):
-    summaries = [
-        SessionSummary(0, "u1", 0, 0, 1),
-        SessionSummary(1, "u2", 1, 1, 1),
-        SessionSummary(2, "u1", 2, 2, 1),
+    sessions = SessionTable(["u1", "u2", "u1"], [0, 1, 2], [0, 1, 2], [1, 1, 1])
+    assert block_user_map(sessions, 2) == {0: {"u1", "u2"}, 1: {"u1"}}
+
+
+# --- the SessionTable contract ---------------------------------------------------
+
+
+def test_session_table_len_and_truth():
+    empty = sessionize_summaries([], 1800)
+    assert len(empty) == 0 and not empty
+    assert empty == SessionTable([], [], [], [])
+    table = sessionize_summaries(make_events([(0, "u1", "a"), (5, "u2", "b")]), 1800)
+    assert len(table) == 2 and table
+
+
+def test_read_sessions_interns_users(tmp_path):
+    path = tmp_path / "sessions.csv"
+    write_sessions_csv(SessionTable(["user-a", "user-b", "user-a"], [0, 1, 2], [0, 1, 2], [1, 1, 1]), path)
+    t = read_sessions_csv(path)
+    assert t.user_hash == ["user-a", "user-b", "user-a"]
+    assert t.user_hash[0] is t.user_hash[2]
+
+
+def test_read_sessions_keeps_few_bytes_per_row(tmp_path):
+    n = 20_000
+    path = tmp_path / "sessions.csv"
+    write_sessions_csv(
+        SessionTable(
+            [f"user{i % 50:04d}" for i in range(n)],
+            [10**12 + 1000 * i for i in range(n)],
+            [10**12 + 1000 * i + 59_000 for i in range(n)],
+            [1 + i % 7 for i in range(n)],
+        ),
+        path,
+    )
+    tracemalloc.start()
+    try:
+        table = read_sessions_csv(path)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n
+    # The row-object reader kept about 229 bytes per row here.
+    assert kept / n < 150
+
+
+# --- read_sessions_csv against the row-object oracle -------------------------------
+
+_USER_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from([",", '"', "\r", "\n", " ", "\t", "é", "日", "\u2028"]),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=6,
+)
+_TABLES = st.lists(
+    st.tuples(_USER_TEXT, st.integers(-(2**63), 2**63), st.integers(-(2**63), 2**63), st.integers(1, 10**6)),
+    max_size=12,
+).map(lambda rows: SessionTable(*(list(c) for c in zip(*rows))) if rows else SessionTable([], [], [], []))
+
+
+@given(_TABLES)
+def test_sessions_csv_round_trips_any_table(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("rt") / "sessions.csv"
+    write_sessions_csv(table, path)
+    got = read_sessions_csv(path)
+    assert got == table
+    assert table_rows(got) == [
+        (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
+        for s in oracle_read_sessions_csv(path)
     ]
-    assert block_user_map(summaries, 2) == {0: {"u1", "u2"}, 1: {"u1"}}
+
+
+_FAULTS = st.one_of(
+    st.tuples(st.just("short"), st.integers(0, 4)),
+    st.tuples(st.just("extra"), st.lists(st.sampled_from(["", "x", "7"]), min_size=1, max_size=3)),
+    st.tuples(st.just("text"), st.sampled_from([0, 2, 3, 4]), st.sampled_from(["", "x", "1.5", " 2", "0x1"])),
+    st.tuples(st.just("k"), st.integers(-3, 0)),
+    st.tuples(st.just("id"), st.integers(-2, 20)),
+)
+
+
+def _corrupt(row: list[str], fault) -> list[str]:
+    kind = fault[0]
+    if kind == "short":
+        return row[: fault[1]]
+    if kind == "extra":
+        return row + fault[1]
+    at, text = {"text": fault[1:], "k": (4, str(fault[1])), "id": (0, str(fault[1]))}[kind]
+    # A field an earlier fault cut off stays cut off.
+    return row[:at] + [text] + row[at + 1 :] if at < len(row) else row
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(["u1", "u,2", 'u"3']), st.integers(0, 9), st.integers(1, 4)),
+             min_size=1, max_size=10),
+    st.lists(st.tuples(st.integers(0, 9), _FAULTS), min_size=1, max_size=3),
+)
+def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, faults):
+    lines = [["session_id", "user_hash", "start_ms", "end_ms", "k_items"]]
+    lines += [[str(i), u, str(t), str(t + 1), str(k)] for i, (u, t, k) in enumerate(rows)]
+    for at, fault in faults:
+        at = 1 + at % len(rows)
+        lines[at] = _corrupt(lines[at], fault)
+    path = tmp_path_factory.mktemp("bad") / "sessions.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(lines)
+    try:
+        want = oracle_read_sessions_csv(path)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            read_sessions_csv(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert table_rows(read_sessions_csv(path)) == [
+            (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items) for s in want
+        ]
+
+
+def test_first_faulty_row_wins(tmp_path):
+    path = tmp_path / "sessions.csv"
+    path.write_text(
+        "session_id,user_hash,start_ms,end_ms,k_items\n0,u1,0,0,1\n1,u1,0,0,0\n5,u1,0,0,1\n2,u1,x,0,1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(InputError, match=r"k_items < 1 in row \['1', 'u1', '0', '0', '0'\]"):
+        read_sessions_csv(path)
+
+
+# --- artifacts that are not UTF-8 ------------------------------------------------
+
+_ARTIFACT_READERS = {
+    "sessions": (read_sessions_csv, "session_id,user_hash,start_ms,end_ms,k_items\n0,u\xff,0,0,1\n"),
+    "metrics": (read_metrics_csv, "block_index,q,mean_n,mean_k,n_min,n_max,k_min,k_max,alpha,beta,variety\n\xff\n"),
+    "classifications": (read_classifications_csv, "block_index,n_tendency,k_tendency,stability,label,mismatch_cost\n\xff\n"),
+    "routes": (read_routes_csv, "owner,steps,span_start,span_end\nu\xff,a,1,1\n"),
+    "transitions": (read_transitions_csv, "from,to,count\na,\xff,1\n"),
+    "communities": (read_communities_count, "community_id,size\n0,\xff\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ARTIFACT_READERS))
+def test_non_utf8_artifact_is_input_error(tmp_path, kind):
+    read, text = _ARTIFACT_READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(InputError, match=f"bad {kind} file .*{kind}.csv: not UTF-8 text"):
+        read(path)
+
+
+# --- opt-in scale check -------------------------------------------------------------
+
+_TIMED_READ = """
+import hashlib, json, resource, sys, time
+from helpers import oracle_read_sessions_csv, table_rows
+from logcompass.pipeline import read_sessions_csv
+which, path = sys.argv[1:]
+t0 = time.perf_counter()
+got = (read_sessions_csv if which == "table" else oracle_read_sessions_csv)(path)
+seconds = time.perf_counter() - t0
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+rows = table_rows(got) if which == "table" else (
+    (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items) for s in got)
+digest = hashlib.sha256()
+for row in rows:
+    digest.update(repr(row).encode())
+print(json.dumps({"s": seconds, "peak_mb": peak_mb, "rows": len(got), "sha256": digest.hexdigest()}))
+"""
+
+
+@pytest.mark.scale
+@pytest.mark.skipif(
+    not os.environ.get("LOGCOMPASS_SCALE"),
+    reason="1M-row sessions.csv read twice; set LOGCOMPASS_SCALE=1 to enable",
+)
+def test_scale_reader_matches_oracle(tmp_path):
+    # The sessions.csv that criterion 6's corpus sessionizes into.
+    profile = SynthProfile(
+        n_users=500, n_items=5000, sessions_per_block=10_000, n_blocks=100, seed=42
+    )
+    path = tmp_path / "sessions.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["session_id", "user_hash", "start_ms", "end_ms", "k_items"])
+        for i, s in enumerate(generate_sessions(profile)):
+            k = len(s.item_ids)
+            w.writerow([i, s.user_hash, s.start_ms, s.start_ms + (k - 1) * EVENT_SPACING_S * 1000, k])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parent), str(Path(__file__).parents[1] / "src")]
+    )
+    out = {}
+    for which in ("table", "oracle"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _TIMED_READ, which, str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        out[which] = json.loads(proc.stdout)
+    assert out["table"]["rows"] == out["oracle"]["rows"] == 1_000_000
+    assert out["table"]["sha256"] == out["oracle"]["sha256"]
+    print(
+        "SCALE READ PASS: 1,000,000 rows; "
+        + "; ".join(f"{k} {v['s']:.2f}s peak {v['peak_mb']:.0f} MB" for k, v in out.items())
+    )
 
 
 def test_report_json_is_sorted_and_parsable(tmp_path, corpus):

@@ -121,13 +121,9 @@ def test_drift_k_fidelity_within_five_percent():
         seed=77,
     )
     from logcompass.blocks import compute_block_means, compute_histogram, partition_blocks
-    from logcompass.pipeline import SessionSummary
 
-    summaries = [
-        SessionSummary(i, s.user_hash, s.start_ms, s.start_ms, len(s.item_ids))
-        for i, s in enumerate(generate_sessions(profile))
-    ]
-    blocks = partition_blocks(summaries, 2000)
+    k_items = [len(s.item_ids) for s in generate_sessions(profile)]
+    blocks = partition_blocks(k_items, 2000)
     metrics = compute_variety_series(
         [compute_block_means(compute_histogram(b), b) for b in blocks]
     )
