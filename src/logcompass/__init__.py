@@ -28,13 +28,12 @@ from .compass import (
 )
 from .errors import ConfigError, InputError
 from .events import (
+    EventTable,
     FilterRules,
     LogEvent,
     ParseDiagnostic,
-    Session,
     filter_events,
     parse_events,
-    sessionize,
 )
 from .graphio import export_graph, parse_canonical
 from .hierarchy import (

@@ -74,14 +74,11 @@ def compute_histogram(block: Block) -> UsageHistogram:
     return UsageHistogram(dict(sorted(entries.items())))
 
 
-def compute_block_means(
-    histogram: UsageHistogram, block: Block, *, n_mean: str = "per-k"
-) -> BlockMetrics:
+def compute_block_means(histogram: UsageHistogram, block: Block) -> BlockMetrics:
     """Reduce a block histogram to means and extremes (variety left unset).
 
-    mean_k is the per-session mean item count. mean_n averages the reader
-    counts over the distinct observed K values ("per-k", the default); the
-    "per-session" mode weights each K's reader count by itself instead.
+    mean_k is the per-session mean item count; mean_n averages the reader
+    counts over the distinct observed K values.
     """
     entries = histogram.entries
     if not entries:
@@ -91,18 +88,11 @@ def compute_block_means(
         raise ValueError(
             f"histogram mass {q} does not match block volume {block.search_volume}"
         )
-    mean_k = sum(k * n for k, n in entries.items()) / q
-    if n_mean == "per-k":
-        mean_n = q / len(entries)
-    elif n_mean == "per-session":
-        mean_n = sum(n * n for n in entries.values()) / q
-    else:
-        raise ValueError(f"unknown n_mean mode {n_mean!r}")
     return BlockMetrics(
         block_index=block.block_index,
         q=q,
-        mean_n=mean_n,
-        mean_k=mean_k,
+        mean_n=q / len(entries),
+        mean_k=sum(k * n for k, n in entries.items()) / q,
         n_min=min(entries.values()),
         n_max=max(entries.values()),
         k_min=min(entries),

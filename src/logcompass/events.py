@@ -1,4 +1,4 @@
-"""Access-log parsing, traffic filtering, and session construction.
+"""Access-log parsing and traffic filtering into a columnar event table.
 
 Two line-oriented input formats are supported:
 
@@ -7,6 +7,7 @@ Two line-oriented input formats are supported:
   text or integer epoch milliseconds), ``user``, ``item``, optional ``agent``.
 
 Malformed lines never abort a parse; each one yields a diagnostic instead.
+Sessions are built from the table by ``pipeline.sessionize_summaries``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from itertools import compress
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigError
 from .timeutil import parse_timestamp_ms
@@ -30,13 +31,38 @@ class LogEvent(NamedTuple):
     """One content request: who fetched which item, when (epoch ms).
 
     A named tuple, so it is immutable and hashable and compares equal to the
-    plain tuple ``(ts_ms, user_hash, item_id, source_tag)``.
+    plain tuple ``(ts_ms, user_hash, item_id, source_tag)``. The synthetic
+    generator yields these; parsing yields an :class:`EventTable` instead.
     """
 
     ts_ms: int
     user_hash: str
     item_id: str
     source_tag: str | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class EventTable:
+    """Parsed events, one list per column, in input order.
+
+    Row i is the event ``(ts_ms[i], user_hash[i], item_id[i], source_tag[i])``.
+    len() is the number of events, so an empty table is falsy.
+    """
+
+    ts_ms: list[int]
+    user_hash: list[str]
+    item_id: list[str]
+    source_tag: list[str | None]
+
+    def __len__(self) -> int:
+        return len(self.ts_ms)
+
+    def extend(self, other: EventTable) -> None:
+        """Append other's rows after this table's."""
+        self.ts_ms.extend(other.ts_ms)
+        self.user_hash.extend(other.user_hash)
+        self.item_id.extend(other.item_id)
+        self.source_tag.extend(other.source_tag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,25 +96,13 @@ class FilterRules:
                 raise ConfigError(f"bad filter pattern {pat!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Session:
-    """A time-bounded run of one user's events; k_items per the counting policy."""
-
-    session_id: int
-    user_hash: str
-    events: tuple[LogEvent, ...]
-    start_ms: int
-    end_ms: int
-    k_items: int
-
-
 def parse_events(
     lines: Iterable[str], log_format: str = "a"
-) -> tuple[list[LogEvent], list[ParseDiagnostic]]:
-    """Parse raw log lines into events plus per-line diagnostics.
+) -> tuple[EventTable, list[ParseDiagnostic]]:
+    """Parse raw log lines into an event table plus per-line diagnostics.
 
     Input order is preserved; a malformed line produces one diagnostic and
-    no event.
+    no row.
     """
     if log_format == "a":
         return _parse_delimited(lines)
@@ -107,11 +121,14 @@ def _is_utf8(line: str) -> bool:
     return True
 
 
-def _parse_delimited(lines: Iterable[str]) -> tuple[list[LogEvent], list[ParseDiagnostic]]:
-    events: list[LogEvent] = []
+def _parse_delimited(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnostic]]:
+    table = EventTable([], [], [], [])
     diags: list[ParseDiagnostic] = []
     intern = sys.intern
-    append = events.append
+    add_ts = table.ts_ms.append
+    add_user = table.user_hash.append
+    add_item = table.item_id.append
+    add_tag = table.source_tag.append
     for line_no, raw in enumerate(lines, 1):
         if not raw.isascii() and not _is_utf8(raw):
             diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
@@ -139,18 +156,24 @@ def _parse_delimited(lines: Iterable[str]) -> tuple[list[LogEvent], list[ParseDi
         except ValueError:
             diags.append(ParseDiagnostic(line_no, f"bad timestamp {ts_text!r}"))
             continue
-        append(LogEvent(ts, intern(user), intern(item), tag))
-    return events, diags
+        add_ts(ts)
+        add_user(intern(user))
+        add_item(intern(item))
+        add_tag(tag)
+    return table, diags
 
 
-def _parse_records(lines: Iterable[str]) -> tuple[list[LogEvent], list[ParseDiagnostic]]:
+def _parse_records(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnostic]]:
     # json.loads yields exact int, str and dict, so `type(x) is` checks suffice;
     # a bool ts is not an int here and gets the same diagnostic as a float.
-    events: list[LogEvent] = []
+    table = EventTable([], [], [], [])
     diags: list[ParseDiagnostic] = []
     intern = sys.intern
     loads = json.loads
-    append = events.append
+    add_ts = table.ts_ms.append
+    add_user = table.user_hash.append
+    add_item = table.item_id.append
+    add_tag = table.source_tag.append
     for line_no, raw in enumerate(lines, 1):
         if not raw.isascii() and not _is_utf8(raw):
             diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
@@ -201,110 +224,36 @@ def _parse_records(lines: Iterable[str]) -> tuple[list[LogEvent], list[ParseDiag
         if tag is not None and type(tag) is not str:
             diags.append(ParseDiagnostic(line_no, "agent must be text"))
             continue
-        append(LogEvent(ts, intern(user), intern(item), tag or None))
-    return events, diags
+        add_ts(ts)
+        add_user(intern(user))
+        add_item(intern(item))
+        add_tag(tag or None)
+    return table, diags
 
 
-def filter_events(events: Iterable[LogEvent], rules: FilterRules) -> list[LogEvent]:
-    """Keep the order-preserving subsequence of events passing the rules.
+def filter_events(table: EventTable, rules: FilterRules) -> EventTable:
+    """Keep the rows passing the rules, in order.
 
     A pattern's verdict depends only on the string it searches, so each
-    distinct item_id and source_tag is searched once and its verdict reused.
+    distinct item_id and source_tag is searched once; one mask then selects
+    the kept rows of every column. Empty rules return the table itself.
     """
     if not rules.agent_deny_patterns and rules.item_allow_pattern is None:
-        return list(events)
+        return table
     deny = [re.compile(p).search for p in rules.agent_deny_patterns]
     allow = (
         re.compile(rules.item_allow_pattern).search
         if rules.item_allow_pattern is not None
         else None
     )
-    item_ok: dict[str, bool] = {}
-    tag_ok: dict[str | None, bool] = {None: True}
-    out: list[LogEvent] = []
-    append = out.append
-    for ev in events:
-        item = ev[2]
-        ok = item_ok.get(item)
-        if ok is None:
-            ok = item_ok[item] = allow is None or allow(item) is not None
-        if not ok:
-            continue
-        tag = ev[3]
-        ok = tag_ok.get(tag)
-        if ok is None:
-            ok = tag_ok[tag] = not any(d(tag) for d in deny)
-        if ok:
-            append(ev)
-    return out
-
-
-def session_groups(
-    events: Iterable[LogEvent], gap_ms: int
-) -> Iterator[tuple[str, list[LogEvent]]]:
-    """Yield (user_hash, events) runs split wherever an inter-event gap exceeds gap_ms.
-
-    Events are grouped per user and stably sorted by timestamp, so equal
-    timestamps keep input order. Yield order is user-major, not global.
-    """
-    by_user: dict[str, list[LogEvent]] = {}
-    for ev in events:
-        user = ev[1]
-        lst = by_user.get(user)
-        if lst is None:
-            by_user[user] = [ev]
-        else:
-            lst.append(ev)
-    by_ts = itemgetter(0)
-    for user, evs in by_user.items():
-        evs.sort(key=by_ts)
-        start = 0
-        prev = evs[0][0]
-        for i in range(1, len(evs)):
-            t = evs[i][0]
-            if t - prev > gap_ms:
-                yield user, evs[start:i]
-                start = i
-            prev = t
-        yield user, evs[start:]
-
-
-def count_items(events: list[LogEvent], count_policy: str) -> int:
-    if count_policy == "distinct":
-        return len({ev.item_id for ev in events})
-    if count_policy == "raw":
-        return len(events)
-    raise ConfigError(f"unknown count policy {count_policy!r} (expected one of {COUNT_POLICIES})")
-
-
-def sessionize(
-    events: Iterable[LogEvent],
-    gap_seconds: float = DEFAULT_GAP_SECONDS,
-    *,
-    count_policy: str = "distinct",
-) -> list[Session]:
-    """Partition events into per-user sessions split on gaps exceeding gap_seconds.
-
-    Sessions are numbered by ascending start time globally (ties broken by
-    user_hash, which is total: one user's sessions never share a start).
-    """
-    if not gap_seconds > 0:
-        raise ValueError("gap_seconds must be positive")
-    count_items([], count_policy)  # validate policy up front
-    gap_ms = round(gap_seconds * 1000)
-    drafts = [
-        (evs[0].ts_ms, user, evs)
-        for user, evs in session_groups(events, gap_ms)
-    ]
-    drafts.sort(key=lambda d: (d[0], d[1]))
-    return [
-        Session(
-            session_id=i,
-            user_hash=user,
-            events=tuple(evs),
-            start_ms=start,
-            end_ms=evs[-1].ts_ms,
-            k_items=count_items(evs, count_policy),
-        )
-        for i, (start, user, evs) in enumerate(drafts)
-    ]
+    item_ok = {item: allow is None or allow(item) is not None for item in set(table.item_id)}
+    tag_ok = {
+        tag: tag is None or not any(d(tag) for d in deny) for tag in set(table.source_tag)
+    }
+    mask = [item_ok[item] and tag_ok[tag] for item, tag in zip(table.item_id, table.source_tag)]
+    return EventTable(
+        list(compress(table.ts_ms, mask)),
+        list(compress(table.user_hash, mask)),
+        list(compress(table.item_id, mask)),
+        list(compress(table.source_tag, mask)),
+    )

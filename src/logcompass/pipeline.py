@@ -30,13 +30,11 @@ from .errors import ConfigError, InputError
 from .events import (
     COUNT_POLICIES,
     DEFAULT_GAP_SECONDS,
+    EventTable,
     FilterRules,
     LOG_FORMATS,
-    LogEvent,
-    count_items,
     filter_events,
     parse_events,
-    session_groups,
 )
 from .graphio import GRAPH_FORMATS, export_graph
 from .routes import (
@@ -93,20 +91,52 @@ class SessionTable:
 
 
 def sessionize_summaries(
-    events: Iterable[LogEvent], gap_seconds: float, count_policy: str = "distinct"
+    events: EventTable, gap_seconds: float, count_policy: str = "distinct"
 ) -> SessionTable:
-    """Like events.sessionize but keeps only the summary columns (same ids and order)."""
+    """Split each user's events into sessions wherever the gap between
+    consecutive events exceeds gap_seconds.
+
+    k_items counts a session's distinct items ("distinct") or its events
+    ("raw"). Sessions are numbered by ascending start time globally, ties
+    broken by user_hash, which is total: one user's sessions never share a
+    start.
+    """
     if not gap_seconds > 0:
         raise ConfigError("gap_seconds must be positive")
-    count_items([], count_policy)
+    if count_policy not in COUNT_POLICIES:
+        raise ConfigError(
+            f"unknown count policy {count_policy!r} (expected one of {COUNT_POLICIES})"
+        )
     gap_ms = round(gap_seconds * 1000)
     distinct = count_policy == "distinct"
-    # LogEvent is (ts_ms, user_hash, item_id, source_tag); (start, user) is
-    # unique, so the plain tuple sort orders drafts by it alone.
-    drafts = [
-        (evs[0][0], user, evs[-1][0], len({ev[2] for ev in evs}) if distinct else len(evs))
-        for user, evs in session_groups(events, gap_ms)
-    ]
+    by_user: dict[str, list[tuple[int, str]]] = {}
+    get = by_user.get
+    for user, pair in zip(events.user_hash, zip(events.ts_ms, events.item_id)):
+        pairs = get(user)
+        if pairs is None:
+            by_user[user] = [pair]
+        else:
+            pairs.append(pair)
+    drafts: list[tuple[int, str, int, int]] = []
+    add = drafts.append
+    for user, pairs in by_user.items():
+        # Equal timestamps may swap items, which changes no session's
+        # start, end or item count.
+        pairs.sort()
+        start = prev = pairs[0][0]
+        items: set[str] = set()
+        n = 0
+        for t, item in pairs:
+            if t - prev > gap_ms:
+                add((start, user, prev, len(items) if distinct else n))
+                start = t
+                items = set()
+                n = 0
+            items.add(item)
+            n += 1
+            prev = t
+        add((start, user, prev, len(items) if distinct else n))
+    # (start, user) is unique, so the plain tuple sort orders drafts by it alone.
     drafts.sort()
     # One pass per column: zip(*drafts) would hold an iterator per session.
     return SessionTable(
@@ -149,14 +179,14 @@ class PipelineConfig:
 
 def parse_log_files(
     paths: Sequence[Path | str], log_format: str, diagnostics: IO[str] | None = None
-) -> tuple[list[LogEvent], int, int]:
+) -> tuple[EventTable, int, int]:
     """Parse input files in order; returns (events, parsed_count, malformed_count).
 
     Diagnostics go to the given sink (default stderr), one line per
     malformed record, numbered per file.
     """
     sink = diagnostics if diagnostics is not None else sys.stderr
-    events: list[LogEvent] = []
+    events: EventTable | None = None
     malformed = 0
     for path in paths:
         try:
@@ -166,10 +196,15 @@ def parse_log_files(
                 got, diags = parse_events(fh, log_format)
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
-        events.extend(got)
+        if events is None:
+            events = got
+        else:
+            events.extend(got)
         malformed += len(diags)
         for d in diags:
             print(d, file=sink)
+    if events is None:
+        events = EventTable([], [], [], [])
     return events, len(events) + malformed, malformed
 
 
@@ -193,12 +228,15 @@ def _text_writer(fh: IO[str], texts: Iterable[str]):
 
 @contextmanager
 def _reading(path: Path, kind: str) -> Iterator[Iterator[list[str]]]:
-    """csv rows of an artifact file; text that is not UTF-8 is an InputError."""
+    """csv rows of an artifact file; text that is not UTF-8 or that csv cannot
+    split into rows (such as a field over csv's size limit) is an InputError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield csv.reader(fh)
     except UnicodeDecodeError:
         raise InputError(f"bad {kind} file {path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise InputError(f"bad {kind} file {path}: {exc}") from None
 
 
 _SESSION_COLS = ["session_id", "user_hash", "start_ms", "end_ms", "k_items"]
@@ -464,6 +502,24 @@ def routes_from_classifications(
     return routes, build_transition_graph(routes)
 
 
+def _type_tally(
+    metrics: Sequence[BlockMetrics], classifications: Sequence[BlockClassification]
+) -> tuple[dict[str, dict], int, str | None]:
+    """Sessions per compass type: ({label: {"sessions", "share_pct"}}, the
+    number of classified sessions, the dominant label or None)."""
+    q_of = {m.block_index: m.q for m in metrics}
+    per_label = dict.fromkeys(_NODE_LABELS, 0)
+    for c in classifications:
+        per_label[c.node.label] += q_of[c.block_index]
+    classified = sum(per_label.values())
+    types = {
+        label: {"sessions": n, "share_pct": (100.0 * n / classified) if classified else 0.0}
+        for label, n in per_label.items()
+    }
+    dominant = min(_NODE_LABELS, key=lambda l: (-per_label[l], l)) if classified else None
+    return types, classified, dominant
+
+
 def build_report(
     *,
     parsed: int,
@@ -476,23 +532,7 @@ def build_report(
     route_count: int,
     community_count: int,
 ) -> dict:
-    q_of = {m.block_index: m.q for m in metrics}
-    sessions_per_label = dict.fromkeys(_NODE_LABELS, 0)
-    for c in classifications:
-        sessions_per_label[c.node.label] += q_of[c.block_index]
-    classified_sessions = sum(sessions_per_label.values())
-    types = {
-        label: {
-            "sessions": n,
-            "share_pct": (100.0 * n / classified_sessions) if classified_sessions else 0.0,
-        }
-        for label, n in sessions_per_label.items()
-    }
-    dominant = (
-        min(_NODE_LABELS, key=lambda l: (-sessions_per_label[l], l))
-        if classified_sessions
-        else None
-    )
+    types, classified_sessions, dominant = _type_tally(metrics, classifications)
     return {
         "events": {"parsed": parsed, "kept": kept, "malformed": malformed},
         "sessions": {
@@ -610,23 +650,17 @@ def report_stats(artifacts_dir: Path | str) -> str:
     route_count = len(read_routes_csv(art / needed["routes"]))
     community_count = read_communities_count(art / needed["communities"])
 
-    q_of = {m.block_index: m.q for m in metrics}
-    total_sessions = sum(q_of.values())
-    per_label = dict.fromkeys(_NODE_LABELS, 0)
-    for c in classifications:
-        per_label[c.node.label] += q_of[c.block_index]
-    classified = sum(per_label.values())
-
+    types, classified, dominant = _type_tally(metrics, classifications)
+    # One q per block index, as the tally counts it.
+    total_sessions = sum({m.block_index: m.q for m in metrics}.values())
     lines = [
         f"blocks: {len(metrics)} total, {len(classifications)} classified",
         f"sessions: {total_sessions} total, {classified} classified",
         "type  sessions  share",
     ]
-    for label in _NODE_LABELS:
-        pct = (100.0 * per_label[label] / classified) if classified else 0.0
-        lines.append(f"{label:<5} {per_label[label]:>9} {pct:6.2f}%")
-    if classified:
-        dominant = min(_NODE_LABELS, key=lambda l: (-per_label[l], l))
+    for label, t in types.items():
+        lines.append(f"{label:<5} {t['sessions']:>9} {t['share_pct']:6.2f}%")
+    if dominant is not None:
         lines.append(f"dominant type: {dominant}")
     lines.append(f"routes: {route_count}")
     lines.append(f"communities: {community_count}")

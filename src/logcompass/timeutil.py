@@ -1,11 +1,11 @@
 """Epoch-millisecond timestamp parsing and formatting.
 
 Timestamps are carried through the pipeline as integer epoch milliseconds
-(UTC). The parser has a fast path for the common ``YYYY-MM-DDTHH:MM:SS``
-shape with an optional fraction and trailing ``Z``, and falls back to
-:func:`datetime.datetime.fromisoformat` for anything else (explicit
-offsets, space separators). Python 3.10's ``fromisoformat`` rejects ``Z``,
-so the fallback normalizes it first.
+(UTC). Parsing accepts exactly what Python 3.11's
+:func:`datetime.datetime.fromisoformat` accepts (``T`` or space separator,
+``Z`` or a ``±HH:MM`` offset, basic and week dates, any number of fraction
+digits); a naive timestamp counts as UTC and fractions are truncated to
+milliseconds.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 from datetime import date, datetime, timedelta, timezone
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-_EPOCH_DT = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_NAIVE = datetime(1970, 1, 1)
 _ONE_MS = timedelta(milliseconds=1)
 _DAY_MS = 86_400_000
 
-# Caches are keyed by date string / epoch day; bounded by the number of
-# distinct days in the input.
-_DATE_MS: dict[str, int] = {}
+# Keyed by epoch day; bounded by the number of distinct days in the output.
 _DAY_ISO: dict[int, str] = {}
 
 
@@ -29,50 +28,9 @@ def parse_timestamp_ms(text: str) -> int:
     Naive timestamps are treated as UTC; fractional seconds beyond
     milliseconds are truncated. Raises ValueError for unparseable input.
     """
-    try:
-        return _fast_iso_ms(text)
-    except (ValueError, IndexError):
-        return _general_iso_ms(text)
-
-
-def _fast_iso_ms(s: str) -> int:
-    day_ms = _DATE_MS.get(s[:10])
-    if day_ms is None:
-        d = date.fromisoformat(s[:10])
-        day_ms = (d.toordinal() - _EPOCH_ORDINAL) * _DAY_MS
-        _DATE_MS[s[:10]] = day_ms
-    if s[10] not in "T " or s[13] != ":" or s[16] != ":":
-        raise ValueError(s)
-    hh, mm, ss = s[11:13], s[14:16], s[17:19]
-    if not (hh.isdigit() and mm.isdigit() and ss.isdigit()):
-        raise ValueError(s)
-    h, m, sec = int(hh), int(mm), int(ss)
-    if h > 23 or m > 59 or sec > 59:
-        raise ValueError(s)
-    tail = s[19:]
-    frac_ms = 0
-    if tail.startswith("."):
-        i = 1
-        while i < len(tail) and tail[i].isdigit():
-            i += 1
-        if i == 1:
-            raise ValueError(s)
-        frac_ms = int((tail[1:i] + "000")[:3])
-        tail = tail[i:]
-    if tail not in ("", "Z"):
-        raise ValueError(s)  # explicit offsets go through the general path
-    return day_ms + (h * 3600 + m * 60 + sec) * 1000 + frac_ms
-
-
-def _general_iso_ms(s: str) -> int:
-    text = s[:-1] + "+00:00" if s.endswith("Z") else s
-    try:
-        dt = datetime.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"bad timestamp {s!r}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return (dt - _EPOCH_DT) // _ONE_MS
+    dt = datetime.fromisoformat(text)
+    # A naive time minus the naive epoch is its offset from the epoch in UTC.
+    return (dt - (_EPOCH_NAIVE if dt.tzinfo is None else _EPOCH)) // _ONE_MS
 
 
 def format_timestamp_s(ms: int) -> str:

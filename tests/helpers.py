@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from datetime import date, datetime, timedelta, timezone
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Iterator
 
-from logcompass.errors import InputError
-from logcompass.events import LogEvent
+from logcompass.errors import ConfigError, InputError
+from logcompass.events import COUNT_POLICIES, DEFAULT_GAP_SECONDS, EventTable, LogEvent
 
 
 def make_events(spec):
@@ -18,6 +21,25 @@ def make_events(spec):
         tag = row[3] if len(row) > 3 else None
         out.append(LogEvent(int(t * 1000), u, i, tag))
     return out
+
+
+def event_table(events: Iterable[LogEvent]) -> EventTable:
+    """The EventTable holding the given events as rows, in order."""
+    table = EventTable([], [], [], [])
+    for ts, user, item, tag in events:
+        table.ts_ms.append(ts)
+        table.user_hash.append(user)
+        table.item_id.append(item)
+        table.source_tag.append(tag)
+    return table
+
+
+def table_events(table: EventTable) -> list[LogEvent]:
+    """An EventTable's rows as LogEvents, for comparison with the oracles."""
+    assert len(table.ts_ms) == len(table.user_hash) == len(table.item_id) == len(table.source_tag)
+    return [
+        LogEvent(*row) for row in zip(table.ts_ms, table.user_hash, table.item_id, table.source_tag)
+    ]
 
 
 def table_rows(table):
@@ -59,3 +81,145 @@ def oracle_read_sessions_csv(path: Path) -> list[SessionSummary]:
                 )
             out.append(s)
     return out
+
+
+# --- the LogEvent sessionizer that sessionize_summaries replaced ------------------
+
+
+@dataclass(frozen=True)
+class Session:
+    """A time-bounded run of one user's events; k_items per the counting policy."""
+
+    session_id: int
+    user_hash: str
+    events: tuple[LogEvent, ...]
+    start_ms: int
+    end_ms: int
+    k_items: int
+
+
+def session_groups(
+    events: Iterable[LogEvent], gap_ms: int
+) -> Iterator[tuple[str, list[LogEvent]]]:
+    """Yield (user_hash, events) runs split wherever an inter-event gap exceeds gap_ms.
+
+    Events are grouped per user and stably sorted by timestamp, so equal
+    timestamps keep input order. Yield order is user-major, not global.
+    """
+    by_user: dict[str, list[LogEvent]] = {}
+    for ev in events:
+        user = ev[1]
+        lst = by_user.get(user)
+        if lst is None:
+            by_user[user] = [ev]
+        else:
+            lst.append(ev)
+    by_ts = itemgetter(0)
+    for user, evs in by_user.items():
+        evs.sort(key=by_ts)
+        start = 0
+        prev = evs[0][0]
+        for i in range(1, len(evs)):
+            t = evs[i][0]
+            if t - prev > gap_ms:
+                yield user, evs[start:i]
+                start = i
+            prev = t
+        yield user, evs[start:]
+
+
+def count_items(events: list[LogEvent], count_policy: str) -> int:
+    if count_policy == "distinct":
+        return len({ev.item_id for ev in events})
+    if count_policy == "raw":
+        return len(events)
+    raise ConfigError(f"unknown count policy {count_policy!r} (expected one of {COUNT_POLICIES})")
+
+
+def sessionize(
+    events: Iterable[LogEvent],
+    gap_seconds: float = DEFAULT_GAP_SECONDS,
+    *,
+    count_policy: str = "distinct",
+) -> list[Session]:
+    """Partition events into per-user sessions split on gaps exceeding gap_seconds.
+
+    Sessions are numbered by ascending start time globally (ties broken by
+    user_hash, which is total: one user's sessions never share a start).
+    """
+    if not gap_seconds > 0:
+        raise ValueError("gap_seconds must be positive")
+    count_items([], count_policy)  # validate policy up front
+    gap_ms = round(gap_seconds * 1000)
+    drafts = [
+        (evs[0].ts_ms, user, evs)
+        for user, evs in session_groups(events, gap_ms)
+    ]
+    drafts.sort(key=lambda d: (d[0], d[1]))
+    return [
+        Session(
+            session_id=i,
+            user_hash=user,
+            events=tuple(evs),
+            start_ms=start,
+            end_ms=evs[-1].ts_ms,
+            k_items=count_items(evs, count_policy),
+        )
+        for i, (start, user, evs) in enumerate(drafts)
+    ]
+
+
+# --- the hand-written timestamp parser that fromisoformat replaced ----------------
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_EPOCH_DT = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_ONE_MS = timedelta(milliseconds=1)
+_DAY_MS = 86_400_000
+
+
+def oracle_parse_timestamp_ms(text: str) -> int:
+    """The old parser: a fast path for ``YYYY-MM-DDTHH:MM:SS[.f][Z]`` and
+    otherwise fromisoformat, with a trailing ``Z`` rewritten to ``+00:00``.
+
+    The fast path accepts some strings fromisoformat rejects (a one-digit
+    second, non-ASCII digits, a basic or week date in the first ten
+    characters); where both accept, the values agree.
+    """
+    try:
+        return _oracle_fast_iso_ms(text)
+    except (ValueError, IndexError):
+        pass
+    general = text[:-1] + "+00:00" if text.endswith("Z") else text
+    try:
+        dt = datetime.fromisoformat(general)
+    except ValueError:
+        raise ValueError(f"bad timestamp {text!r}") from None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return (dt - _EPOCH_DT) // _ONE_MS
+
+
+def _oracle_fast_iso_ms(s: str) -> int:
+    d = date.fromisoformat(s[:10])
+    day_ms = (d.toordinal() - _EPOCH_ORDINAL) * _DAY_MS
+    if s[10] not in "T " or s[13] != ":" or s[16] != ":":
+        raise ValueError(s)
+    hh, mm, ss = s[11:13], s[14:16], s[17:19]
+    if not (hh.isdigit() and mm.isdigit() and ss.isdigit()):
+        raise ValueError(s)
+    h, m, sec = int(hh), int(mm), int(ss)
+    if h > 23 or m > 59 or sec > 59:
+        raise ValueError(s)
+    tail = s[19:]
+    frac_ms = 0
+    if tail.startswith("."):
+        i = 1
+        while i < len(tail) and tail[i].isdigit():
+            i += 1
+        if i == 1:
+            raise ValueError(s)
+        frac_ms = int((tail[1:i] + "000")[:3])
+        tail = tail[i:]
+    if tail not in ("", "Z"):
+        raise ValueError(s)
+    return day_ms + (h * 3600 + m * 60 + sec) * 1000 + frac_ms

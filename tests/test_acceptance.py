@@ -20,7 +20,7 @@ from logcompass.blocks import (
     partition_blocks,
 )
 from logcompass.compass import build_base_graph, betweenness, minimum_spanning_tree, assortativity, neighbors, shortest_distance, derive_edges
-from logcompass.events import parse_events, sessionize
+from logcompass.events import parse_events
 from logcompass.graphio import parse_canonical, to_canonical
 from logcompass.hierarchy import (
     collapse_node,
@@ -34,6 +34,7 @@ from logcompass.pipeline import (
     GRAPH_FILES,
     PipelineConfig,
     run_pipeline,
+    sessionize_summaries,
 )
 from logcompass.routes import SearchRoute, detect_communities, route_distance
 from logcompass.synth import SynthProfile, generate_sessions, write_log
@@ -290,9 +291,9 @@ def test_criterion_9_round_trips():
     buf.seek(0)
     events, diags = parse_events(buf, "a")
     assert diags == []
-    sessions = sessionize(events, 1800)
+    sessions = sessionize_summaries(events, 1800)
     assert len(sessions) == len(planned) == 240
-    assert [s.k_items for s in sessions] == [len(p.item_ids) for p in planned]
+    assert sessions.k_items == [len(p.item_ids) for p in planned]
     print("ACCEPTANCE 9 PASS: canonical graph and synth/ingest round-trips are lossless")
 
 

@@ -106,12 +106,6 @@ def test_means_hand_arithmetic():
     assert m.mean_n == pytest.approx(5.0)
 
 
-def test_means_per_session_mode():
-    b = block_of([1, 1, 1, 3])
-    m = compute_block_means(compute_histogram(b), b, n_mean="per-session")
-    assert m.mean_n == pytest.approx((3 * 3 + 1 * 1) / 4)
-
-
 def test_means_rejects_mismatched_histogram():
     b = block_of([1, 1, 1, 3])
     h = compute_histogram(block_of([1, 1]))

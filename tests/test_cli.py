@@ -263,3 +263,15 @@ def test_duplicate_route_owner_is_input_error(tmp_path, capsys):
     assert main(["communities", "--routes", str(routes), "--out", str(out)]) == 2
     assert "duplicate owner 'u1'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_field_over_csv_limit_exits_2(tmp_path, capsys):
+    # csv.reader refuses fields over 131,072 characters by default.
+    log = tmp_path / "log.csv"
+    log.write_text(f"2021-03-01T10:00:00Z,{'u' * 140_000},a1\n", encoding="utf-8")
+    sessions = tmp_path / "sessions.csv"
+    assert main(["ingest", "--input", str(log), "--out", str(sessions)]) == 0
+    capsys.readouterr()
+    assert main(["metrics", "--sessions", str(sessions), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: bad sessions file {sessions}: field larger than field limit")

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import logcompass.events as events_module
-from helpers import make_events
+from helpers import event_table, make_events, sessionize, table_events
 from logcompass.errors import ConfigError
 from logcompass.events import (
     COUNT_POLICIES,
+    EventTable,
     FilterRules,
     LogEvent,
     ParseDiagnostic,
     _parse_records,
     filter_events,
     parse_events,
-    sessionize,
 )
 from logcompass.pipeline import SessionTable, sessionize_summaries
 from logcompass.timeutil import parse_timestamp_ms
@@ -26,16 +26,16 @@ from logcompass.timeutil import parse_timestamp_ms
 def test_parse_delimited_line():
     events, diags = parse_events(["2021-03-01T10:00:00Z,u1,art42\n"], "a")
     assert diags == []
-    assert events == [LogEvent(parse_timestamp_ms("2021-03-01T10:00:00Z"), "u1", "art42")]
+    assert table_events(events) == [LogEvent(parse_timestamp_ms("2021-03-01T10:00:00Z"), "u1", "art42")]
 
 
 def test_parse_empty_input():
-    assert parse_events([], "a") == ([], [])
+    assert parse_events([], "a") == (EventTable([], [], [], []), [])
 
 
 def test_parse_two_fields_is_diagnostic():
     events, diags = parse_events(["2021-03-01T10:00:00Z,u1\n"], "a")
-    assert events == []
+    assert table_events(events) == []
     assert len(diags) == 1
     assert str(diags[0]).startswith("line 1: ")
 
@@ -49,20 +49,20 @@ def test_parse_keeps_order_and_skips_malformed():
         "2021-03-01T10:00:10Z,u1,a3,scraper\n",
     ]
     events, diags = parse_events(lines, "a")
-    assert [e.item_id for e in events] == ["a1", "a2", "a3"]
-    assert events[2].source_tag == "scraper"
+    assert events.item_id == ["a1", "a2", "a3"]
+    assert events.source_tag == [None, None, "scraper"]
     assert [d.line_no for d in diags] == [2, 4]
 
 
 def test_parse_bad_timestamp_diagnostic():
     events, diags = parse_events(["not-a-time,u1,a1\n"], "a")
-    assert events == []
+    assert table_events(events) == []
     assert "bad timestamp" in diags[0].reason
 
 
 def test_parse_millisecond_precision():
     events, _ = parse_events(["2021-03-01T10:00:00.123Z,u1,a1\n"], "a")
-    assert events[0].ts_ms % 1000 == 123
+    assert events.ts_ms[0] % 1000 == 123
 
 
 def test_parse_format_b():
@@ -72,8 +72,8 @@ def test_parse_format_b():
     ]
     events, diags = parse_events(lines, "b")
     assert diags == []
-    assert events[0].ts_ms == events[1].ts_ms == 1614592800000
-    assert events[1].source_tag == "app"
+    assert events.ts_ms[0] == events.ts_ms[1] == 1614592800000
+    assert events.source_tag[1] == "app"
 
 
 @pytest.mark.parametrize(
@@ -90,7 +90,7 @@ def test_parse_format_b():
 )
 def test_parse_format_b_malformed(line):
     events, diags = parse_events([line + "\n"], "b")
-    assert events == []
+    assert table_events(events) == []
     assert len(diags) == 1
 
 
@@ -101,30 +101,30 @@ def test_parse_unknown_format():
 
 def test_filter_deny_pattern_drops_tagged_event():
     events = make_events([(0, "u1", "a1", "bot-crawler"), (1, "u2", "a2")])
-    kept = filter_events(events, FilterRules(agent_deny_patterns=("bot",)))
-    assert kept == [events[1]]
+    kept = filter_events(event_table(events), FilterRules(agent_deny_patterns=("bot",)))
+    assert table_events(kept) == [events[1]]
 
 
 def test_filter_empty_rules_identity():
-    events = make_events([(0, "u1", "a1"), (1, "u2", "a2", "bot")])
-    assert filter_events(events, FilterRules()) == events
+    table = event_table(make_events([(0, "u1", "a1"), (1, "u2", "a2", "bot")]))
+    assert filter_events(table, FilterRules()) == table
 
 
 def test_filter_preserves_subsequence_order():
     events = make_events(
         [(t, f"u{t}", f"a{t}", "spider" if t in (2, 5, 8) else None) for t in range(10)]
     )
-    kept = filter_events(events, FilterRules(agent_deny_patterns=("spider",)))
+    kept = filter_events(event_table(events), FilterRules(agent_deny_patterns=("spider",)))
     assert len(kept) == 7
-    # order-preserving subsequence of the input
+    # order-preserving subsequence of the input (timestamps are unique)
     it = iter(events)
-    assert all(any(e is k for e in it) for k in kept)
+    assert all(any(e == k for e in it) for k in table_events(kept))
 
 
 def test_filter_item_allow_pattern():
-    events = make_events([(0, "u1", "paper-9"), (1, "u1", "style.css")])
+    events = event_table(make_events([(0, "u1", "paper-9"), (1, "u1", "style.css")]))
     kept = filter_events(events, FilterRules(item_allow_pattern=r"^paper-"))
-    assert [e.item_id for e in kept] == ["paper-9"]
+    assert kept.item_id == ["paper-9"]
 
 
 def test_filter_rules_validate_patterns():
@@ -157,12 +157,15 @@ def test_sessionize_gap_equal_to_threshold_stays_together():
     events = make_events([(0, "u1", "a"), (1800, "u1", "b"), (3601, "u1", "c")])
     sessions = sessionize(events, 1800)
     assert [len(s.events) for s in sessions] == [2, 1]
+    assert sessionize_summaries(event_table(events), 1800).end_ms == [1_800_000, 3_601_000]
 
 
 def test_sessionize_counting_policy():
     events = make_events([(0, "u1", "a"), (10, "u1", "a"), (20, "u1", "b")])
     assert sessionize(events, 1800)[0].k_items == 2
     assert sessionize(events, 1800, count_policy="raw")[0].k_items == 3
+    assert sessionize_summaries(event_table(events), 1800).k_items == [2]
+    assert sessionize_summaries(event_table(events), 1800, "raw").k_items == [3]
 
 
 def test_sessionize_numbers_by_global_start():
@@ -173,16 +176,22 @@ def test_sessionize_numbers_by_global_start():
         (1, "u2", 100_000),
         (2, "u1", 5_000_000),
     ]
+    table = sessionize_summaries(event_table(events), 1800)
+    assert (table.user_hash, table.start_ms) == (["u1", "u2", "u1"], [0, 100_000, 5_000_000])
 
 
 def test_sessionize_rejects_bad_gap():
     with pytest.raises(ValueError):
         sessionize([], 0)
+    with pytest.raises(ConfigError, match="gap_seconds must be positive"):
+        sessionize_summaries(EventTable([], [], [], []), 0)
 
 
 def test_sessionize_unknown_policy():
     with pytest.raises(ConfigError):
         sessionize([], 1800, count_policy="weird")
+    with pytest.raises(ConfigError, match="unknown count policy 'weird'"):
+        sessionize_summaries(EventTable([], [], [], []), 1800, "weird")
 
 
 _event_lists = st.lists(
@@ -262,7 +271,7 @@ def test_escaped_lone_surrogate_is_a_diagnostic(field, text):
     bad = good.replace({"user": "u1", "item": "a1"}[field], text)
     pair = good.replace("u1", "\\ud83d\\ude00")  # an escaped pair is one valid character
     events, diags = parse_events([good, bad, pair], "b")
-    assert [e.user_hash for e in events] == ["u1", "\U0001f600"]
+    assert events.user_hash == ["u1", "\U0001f600"]
     assert [str(d) for d in diags] == ["line 2: user and item must be valid Unicode text"]
 
 
@@ -310,11 +319,14 @@ _PATTERNS = st.sampled_from(
 def test_filter_matches_uncached_oracle(raw, deny, allow):
     events = [LogEvent(*row) for row in raw]
     rules = FilterRules(tuple(deny), allow)
-    kept = filter_events(events, rules)
+    kept = filter_events(event_table(events), rules)
     expected = oracle_filter_events(events, rules)
-    assert kept == expected
-    # same objects in the same order, not merely equal values
-    assert [id(e) for e in kept] == [id(e) for e in expected]
+    assert table_events(kept) == expected
+    # the same rows in the same order, not merely equal values: every kept
+    # field is the very object of the oracle's event
+    for column, name in [(kept.user_hash, "user_hash"), (kept.item_id, "item_id"),
+                         (kept.source_tag, "source_tag")]:
+        assert [id(x) for x in column] == [id(getattr(e, name)) for e in expected]
 
 
 def test_filter_searches_each_distinct_string_once(monkeypatch):
@@ -339,8 +351,8 @@ def test_filter_searches_each_distinct_string_once(monkeypatch):
         for item, tag in [("/a/1", "human"), ("/a/2", "Googlebot"), ("/x", "human"),
                           ("/a/1", None), ("/a/2", "spider"), ("/a/1", "")]
     ]
-    kept = filter_events(events, rules)
-    assert kept == oracle_filter_events(events, FilterRules(("bot", "spider"), "^/a/"))
+    kept = filter_events(event_table(events), rules)
+    assert table_events(kept) == oracle_filter_events(events, FilterRules(("bot", "spider"), "^/a/"))
     assert len(calls) == len(set(calls))
     items = {text for pat, text in calls if pat == "^/a/"}
     assert items == {"/a/1", "/a/2", "/x"}
@@ -462,14 +474,15 @@ _RECORD_LINES = st.one_of(
 
 @given(st.lists(_RECORD_LINES, max_size=25))
 def test_parse_records_matches_oracle(lines):
-    events, diags = _parse_records(lines)
+    table, diags = _parse_records(lines)
     want_events, want_diags = oracle_parse_records(lines)
+    events = table_events(table)
     assert events == want_events
     assert [type(e.ts_ms) for e in events] == [type(e.ts_ms) for e in want_events]
     assert [str(d) for d in diags] == [str(d) for d in want_diags]
 
 
-# --- sessionize_summaries against events.sessionize ----------------------------
+# --- sessionize_summaries against the LogEvent sessionizer ----------------------
 
 
 @given(_event_lists, st.integers(min_value=1, max_value=120), st.sampled_from(COUNT_POLICIES))
@@ -483,4 +496,4 @@ def test_sessionize_summaries_match_sessionize(raw, gap_s, policy):
         [s.end_ms for s in sessions],
         [s.k_items for s in sessions],
     )
-    assert sessionize_summaries(events, gap_s, policy) == expected
+    assert sessionize_summaries(event_table(events), gap_s, policy) == expected

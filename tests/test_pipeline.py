@@ -11,9 +11,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import make_events, oracle_read_sessions_csv, table_rows
+from helpers import (
+    event_table,
+    make_events,
+    oracle_read_sessions_csv,
+    sessionize,
+    table_events,
+    table_rows,
+)
 from logcompass.errors import InputError
-from logcompass.events import FilterRules
+from logcompass.events import EventTable, FilterRules, LogEvent
 from logcompass.pipeline import (
     ARTIFACT_FILES,
     GRAPH_FILES,
@@ -22,6 +29,7 @@ from logcompass.pipeline import (
     block_user_map,
     classify_series,
     metrics_from_summaries,
+    parse_log_files,
     read_classifications_csv,
     read_communities_count,
     read_metrics_csv,
@@ -233,14 +241,28 @@ def test_sessions_csv_rejects_gapped_or_reordered_ids(tmp_path, ids):
         read_sessions_csv(path)
 
 
-def test_sessionize_summaries_matches_full_sessionize():
-    from logcompass.events import sessionize
+def test_parse_log_files_appends_inputs_in_order(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text("1970-01-01T00:00:01Z,u1,a1\nbad\n", encoding="utf-8")
+    second.write_text("x\n1970-01-01T00:00:02Z,u2,a2\n1970-01-01T00:00:03Z,u1,a3,bot\n",
+                      encoding="utf-8")
+    sink = io.StringIO()
+    events, parsed, malformed = parse_log_files([first, second], "a", sink)
+    assert table_events(events) == [
+        LogEvent(1000, "u1", "a1"), LogEvent(2000, "u2", "a2"), LogEvent(3000, "u1", "a3", "bot")
+    ]
+    assert (parsed, malformed) == (5, 2)
+    # diagnostics are numbered per file
+    assert sink.getvalue() == "line 2: expected 3 or 4 fields, got 1\nline 1: expected 3 or 4 fields, got 1\n"
+    assert parse_log_files([], "a", sink) == (EventTable([], [], [], []), 0, 0)
 
+
+def test_sessionize_summaries_matches_full_sessionize():
     events = make_events(
         [(0, "u1", "a"), (60, "u1", "a"), (4000, "u1", "b"), (30, "u2", "c")]
     )
     sessions = sessionize(events, 1800)
-    summaries = sessionize_summaries(events, 1800)
+    summaries = sessionize_summaries(event_table(events), 1800)
     assert [
         (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items) for s in sessions
     ] == table_rows(summaries)
@@ -264,10 +286,10 @@ def test_block_user_map(tmp_path):
 
 
 def test_session_table_len_and_truth():
-    empty = sessionize_summaries([], 1800)
+    empty = sessionize_summaries(EventTable([], [], [], []), 1800)
     assert len(empty) == 0 and not empty
     assert empty == SessionTable([], [], [], [])
-    table = sessionize_summaries(make_events([(0, "u1", "a"), (5, "u2", "b")]), 1800)
+    table = sessionize_summaries(event_table(make_events([(0, "u1", "a"), (5, "u2", "b")])), 1800)
     assert len(table) == 2 and table
 
 
