@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, NamedTuple
@@ -23,6 +24,9 @@ from .errors import ConfigError
 from .timeutil import parse_timestamp_ms
 
 LOG_FORMATS = ("a", "b")
+# The range of array('q'), which holds every timestamp column.
+TS_MIN_MS = -(2**63)
+TS_MAX_MS = 2**63 - 1
 COUNT_POLICIES = ("distinct", "raw")
 DEFAULT_GAP_SECONDS = 1800.0
 
@@ -43,13 +47,15 @@ class LogEvent(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class EventTable:
-    """Parsed events, one list per column, in input order.
+    """Parsed events, one column each, in input order.
 
     Row i is the event ``(ts_ms[i], user_hash[i], item_id[i], source_tag[i])``.
-    len() is the number of events, so an empty table is falsy.
+    Timestamps are a signed 64-bit ``array('q')``; the text columns are
+    lists, in which parsing makes equal values one interned object. len() is
+    the number of events, so an empty table is falsy.
     """
 
-    ts_ms: list[int]
+    ts_ms: array
     user_hash: list[str]
     item_id: list[str]
     source_tag: list[str | None]
@@ -122,7 +128,8 @@ def _is_utf8(line: str) -> bool:
 
 
 def _parse_delimited(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnostic]]:
-    table = EventTable([], [], [], [])
+    # fromisoformat covers years 1-9999, which always fit in array('q').
+    table = EventTable(array("q"), [], [], [])
     diags: list[ParseDiagnostic] = []
     intern = sys.intern
     add_ts = table.ts_ms.append
@@ -144,7 +151,6 @@ def _parse_delimited(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagno
             tag = None
         elif n == 4:
             ts_text, user, item, tag = parts
-            tag = tag or None
         else:
             diags.append(ParseDiagnostic(line_no, f"expected 3 or 4 fields, got {n}"))
             continue
@@ -159,14 +165,14 @@ def _parse_delimited(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagno
         add_ts(ts)
         add_user(intern(user))
         add_item(intern(item))
-        add_tag(tag)
+        add_tag(intern(tag) if tag else None)
     return table, diags
 
 
 def _parse_records(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnostic]]:
     # json.loads yields exact int, str and dict, so `type(x) is` checks suffice;
     # a bool ts is not an int here and gets the same diagnostic as a float.
-    table = EventTable([], [], [], [])
+    table = EventTable(array("q"), [], [], [])
     diags: list[ParseDiagnostic] = []
     intern = sys.intern
     loads = json.loads
@@ -187,6 +193,10 @@ def _parse_records(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnost
         except json.JSONDecodeError as exc:
             diags.append(ParseDiagnostic(line_no, f"invalid record: {exc.msg}"))
             continue
+        except ValueError:
+            # A number past int()'s limit of 4,300 digits.
+            diags.append(ParseDiagnostic(line_no, "invalid record: integer too long"))
+            continue
         if type(rec) is not dict:
             diags.append(ParseDiagnostic(line_no, "record is not an object"))
             continue
@@ -200,6 +210,9 @@ def _parse_records(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnost
             continue
         ts_type = type(ts_val)
         if ts_type is int:
+            if not TS_MIN_MS <= ts_val <= TS_MAX_MS:
+                diags.append(ParseDiagnostic(line_no, "ts outside the signed 64-bit range"))
+                continue
             ts = ts_val
         elif ts_type is str:
             try:
@@ -227,7 +240,7 @@ def _parse_records(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnost
         add_ts(ts)
         add_user(intern(user))
         add_item(intern(item))
-        add_tag(tag or None)
+        add_tag(intern(tag) if tag else None)
     return table, diags
 
 
@@ -252,7 +265,7 @@ def filter_events(table: EventTable, rules: FilterRules) -> EventTable:
     }
     mask = [item_ok[item] and tag_ok[tag] for item, tag in zip(table.item_id, table.source_tag)]
     return EventTable(
-        list(compress(table.ts_ms, mask)),
+        array("q", compress(table.ts_ms, mask)),
         list(compress(table.user_hash, mask)),
         list(compress(table.item_id, mask)),
         list(compress(table.source_tag, mask)),

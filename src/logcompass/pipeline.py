@@ -12,8 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import gt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -75,15 +78,16 @@ _NODE_LABELS = tuple(sorted(NODE_BY_LABEL))
 
 @dataclass(frozen=True, slots=True)
 class SessionTable:
-    """The sessions persisted in sessions.csv, one list per column.
+    """The sessions persisted in sessions.csv, one column each.
 
-    Row i is session i: ids are row positions and are not stored. len() is
-    the number of sessions, so an empty table is falsy.
+    Row i is session i: ids are row positions and are not stored. Start and
+    end are signed 64-bit ``array('q')`` columns; users are interned text.
+    len() is the number of sessions, so an empty table is falsy.
     """
 
     user_hash: list[str]
-    start_ms: list[int]
-    end_ms: list[int]
+    start_ms: array
+    end_ms: array
     k_items: list[int]
 
     def __len__(self) -> int:
@@ -109,39 +113,67 @@ def sessionize_summaries(
         )
     gap_ms = round(gap_seconds * 1000)
     distinct = count_policy == "distinct"
-    by_user: dict[str, list[tuple[int, str]]] = {}
-    get = by_user.get
-    for user, pair in zip(events.user_hash, zip(events.ts_ms, events.item_id)):
-        pairs = get(user)
-        if pairs is None:
-            by_user[user] = [pair]
+    # Each user's timestamps and items, in input order.
+    groups: dict[str, tuple[array, list[str]]] = {}
+    get = groups.get
+    for user, t, item in zip(events.user_hash, events.ts_ms, events.item_id):
+        group = get(user)
+        if group is None:
+            groups[user] = (array("q", (t,)), [item])
         else:
-            pairs.append(pair)
-    drafts: list[tuple[int, str, int, int]] = []
-    add = drafts.append
-    for user, pairs in by_user.items():
-        # Equal timestamps may swap items, which changes no session's
-        # start, end or item count.
-        pairs.sort()
-        start = prev = pairs[0][0]
-        items: set[str] = set()
+            group[0].append(t)
+            group[1].append(item)
+    users: list[str] = []
+    starts = array("q")
+    ends = array("q")
+    ks: list[int] = []
+    # Users in sorted order, so that the stable sort by start below breaks
+    # ties by user.
+    for user in sorted(groups):
+        ts, items = groups.pop(user)
+        if any(map(gt, ts, islice(ts, 1, None))):
+            # A stable sort: equal timestamps keep input order, and swapping
+            # them would change no session's start, end or item count.
+            perm = sorted(range(len(ts)), key=ts.__getitem__)
+            ts = array("q", map(ts.__getitem__, perm))
+            items = list(map(items.__getitem__, perm))
+        start = prev = ts[0]
+        seen: set[str] = set()
         n = 0
-        for t, item in pairs:
+        for t, item in zip(ts, items):
             if t - prev > gap_ms:
-                add((start, user, prev, len(items) if distinct else n))
+                users.append(user)
+                starts.append(start)
+                ends.append(prev)
+                ks.append(len(seen) if distinct else n)
                 start = t
-                items = set()
+                seen = set()
                 n = 0
-            items.add(item)
+            seen.add(item)
             n += 1
             prev = t
-        add((start, user, prev, len(items) if distinct else n))
-    # (start, user) is unique, so the plain tuple sort orders drafts by it alone.
-    drafts.sort()
-    # One pass per column: zip(*drafts) would hold an iterator per session.
-    return SessionTable(
-        [d[1] for d in drafts], [d[0] for d in drafts], [d[2] for d in drafts], [d[3] for d in drafts]
-    )
+        users.append(user)
+        starts.append(start)
+        ends.append(prev)
+        ks.append(len(seen) if distinct else n)
+    # A stable sort by start. Each key packs (start, row) into one int, which
+    # holds half the objects of sorted(range(n), key=starts.__getitem__).
+    # Counting from the earliest start keeps a key within two 30-bit digits
+    # (32 bytes) while the starts span under 2**60 >> shift ms: about two
+    # years at 10M sessions.
+    lo = min(starts, default=0)
+    shift = len(ks).bit_length()
+    order = [(s - lo) << shift | i for i, s in enumerate(starts)]
+    order.sort()
+    mask = (1 << shift) - 1
+    for j, key in enumerate(order):
+        order[j] = key & mask
+    # Rebinding each column frees the unsorted one before the next is built.
+    users = list(map(users.__getitem__, order))
+    starts = array("q", map(starts.__getitem__, order))
+    ends = array("q", map(ends.__getitem__, order))
+    ks = list(map(ks.__getitem__, order))
+    return SessionTable(users, starts, ends, ks)
 
 
 @dataclass
@@ -204,7 +236,7 @@ def parse_log_files(
         for d in diags:
             print(d, file=sink)
     if events is None:
-        events = EventTable([], [], [], [])
+        events = EventTable(array("q"), [], [], [])
     return events, len(events) + malformed, malformed
 
 
@@ -253,8 +285,8 @@ def write_sessions_csv(table: SessionTable, path: Path) -> None:
 
 def read_sessions_csv(path: Path) -> SessionTable:
     users: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
+    starts = array("q")
+    ends = array("q")
     ks: list[int] = []
     # One str object per distinct user, however many sessions name it.
     seen: dict[str, str] = {}
@@ -275,10 +307,16 @@ def read_sessions_csv(path: Path) -> SessionTable:
                     f"bad sessions file {path}: session_id {session_id} at row {i}"
                     " (ids must run 0..n-1 in order)"
                 )
+            try:
+                starts.append(start)
+                ends.append(end)
+            except OverflowError:
+                raise InputError(
+                    f"bad sessions file {path}: start_ms or end_ms outside the signed"
+                    f" 64-bit range in row {row!r}"
+                ) from None
             user = row[1]
             users.append(intern(user, user))
-            starts.append(start)
-            ends.append(end)
             ks.append(k)
     return SessionTable(users, starts, ends, ks)
 
@@ -510,7 +548,10 @@ def _type_tally(
     q_of = {m.block_index: m.q for m in metrics}
     per_label = dict.fromkeys(_NODE_LABELS, 0)
     for c in classifications:
-        per_label[c.node.label] += q_of[c.block_index]
+        q = q_of.get(c.block_index)
+        if q is None:
+            raise InputError(f"classifications name block {c.block_index}, which the metrics lack")
+        per_label[c.node.label] += q
     classified = sum(per_label.values())
     types = {
         label: {"sessions": n, "share_pct": (100.0 * n / classified) if classified else 0.0}

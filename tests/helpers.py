@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from operator import itemgetter
@@ -25,7 +26,7 @@ def make_events(spec):
 
 def event_table(events: Iterable[LogEvent]) -> EventTable:
     """The EventTable holding the given events as rows, in order."""
-    table = EventTable([], [], [], [])
+    table = EventTable(array("q"), [], [], [])
     for ts, user, item, tag in events:
         table.ts_ms.append(ts)
         table.user_hash.append(user)

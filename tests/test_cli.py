@@ -275,3 +275,29 @@ def test_field_over_csv_limit_exits_2(tmp_path, capsys):
     assert main(["metrics", "--sessions", str(sessions), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"input error: bad sessions file {sessions}: field larger than field limit")
+
+
+def test_report_on_block_missing_from_metrics_exits_2(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(log), "--seed", "5",
+                 "--sessions-per-block", "30", "--blocks", "4"]) == 0
+    assert main(["run", "--input", str(log), "--block-size", "30", "--out", str(out)]) == 0
+    classifications = out / ARTIFACT_FILES["classifications"]
+    lines = classifications.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].startswith("1,")
+    classifications.write_text(lines[0] + "9," + lines[1][2:] + "".join(lines[2:]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--artifacts", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: classifications name block 9, which the metrics lack\n"
+    )
+
+
+def test_sessions_time_outside_int64_exits_2(tmp_path, capsys):
+    sessions = tmp_path / "sessions.csv"
+    sessions.write_text(
+        f"session_id,user_hash,start_ms,end_ms,k_items\n0,u1,{2**63},{2**63},1\n", encoding="utf-8"
+    )
+    assert main(["metrics", "--sessions", str(sessions), "--out-dir", str(tmp_path / "m")]) == 2
+    assert "start_ms or end_ms outside the signed 64-bit range" in capsys.readouterr().err

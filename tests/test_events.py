@@ -1,13 +1,15 @@
 import json
 import re
 import sys
+import tracemalloc
 import types
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
 
 import logcompass.events as events_module
-from helpers import event_table, make_events, sessionize, table_events
+from helpers import event_table, make_events, sessionize, table_events, table_rows
 from logcompass.errors import ConfigError
 from logcompass.events import (
     COUNT_POLICIES,
@@ -30,7 +32,7 @@ def test_parse_delimited_line():
 
 
 def test_parse_empty_input():
-    assert parse_events([], "a") == (EventTable([], [], [], []), [])
+    assert parse_events([], "a") == (EventTable(array("q"), [], [], []), [])
 
 
 def test_parse_two_fields_is_diagnostic():
@@ -157,7 +159,7 @@ def test_sessionize_gap_equal_to_threshold_stays_together():
     events = make_events([(0, "u1", "a"), (1800, "u1", "b"), (3601, "u1", "c")])
     sessions = sessionize(events, 1800)
     assert [len(s.events) for s in sessions] == [2, 1]
-    assert sessionize_summaries(event_table(events), 1800).end_ms == [1_800_000, 3_601_000]
+    assert list(sessionize_summaries(event_table(events), 1800).end_ms) == [1_800_000, 3_601_000]
 
 
 def test_sessionize_counting_policy():
@@ -177,21 +179,21 @@ def test_sessionize_numbers_by_global_start():
         (2, "u1", 5_000_000),
     ]
     table = sessionize_summaries(event_table(events), 1800)
-    assert (table.user_hash, table.start_ms) == (["u1", "u2", "u1"], [0, 100_000, 5_000_000])
+    assert (table.user_hash, list(table.start_ms)) == (["u1", "u2", "u1"], [0, 100_000, 5_000_000])
 
 
 def test_sessionize_rejects_bad_gap():
     with pytest.raises(ValueError):
         sessionize([], 0)
     with pytest.raises(ConfigError, match="gap_seconds must be positive"):
-        sessionize_summaries(EventTable([], [], [], []), 0)
+        sessionize_summaries(EventTable(array("q"), [], [], []), 0)
 
 
 def test_sessionize_unknown_policy():
     with pytest.raises(ConfigError):
         sessionize([], 1800, count_policy="weird")
     with pytest.raises(ConfigError, match="unknown count policy 'weird'"):
-        sessionize_summaries(EventTable([], [], [], []), 1800, "weird")
+        sessionize_summaries(EventTable(array("q"), [], [], []), 1800, "weird")
 
 
 _event_lists = st.lists(
@@ -391,6 +393,9 @@ def oracle_parse_records(lines):
         except json.JSONDecodeError as exc:
             diags.append(ParseDiagnostic(line_no, f"invalid record: {exc.msg}"))
             continue
+        except ValueError:
+            diags.append(ParseDiagnostic(line_no, "invalid record: integer too long"))
+            continue
         if not isinstance(rec, dict):
             diags.append(ParseDiagnostic(line_no, "record is not an object"))
             continue
@@ -403,6 +408,9 @@ def oracle_parse_records(lines):
             diags.append(ParseDiagnostic(line_no, "ts must be ISO-8601 text or epoch milliseconds"))
             continue
         if isinstance(ts_val, int):
+            if not -(2**63) <= ts_val < 2**63:
+                diags.append(ParseDiagnostic(line_no, "ts outside the signed 64-bit range"))
+                continue
             ts = ts_val
         elif isinstance(ts_val, str):
             try:
@@ -424,12 +432,14 @@ def oracle_parse_records(lines):
         if tag is not None and not isinstance(tag, str):
             diags.append(ParseDiagnostic(line_no, "agent must be text"))
             continue
-        events.append(LogEvent(ts, sys.intern(user), sys.intern(item), tag or None))
+        events.append(LogEvent(ts, sys.intern(user), sys.intern(item), sys.intern(tag) if tag else None))
     return events, diags
 
 
 _TS_VALUES = st.one_of(
     st.integers(-(10**15), 10**15),
+    # the edges of array('q'), which holds the parsed timestamps
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1]),
     st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(["2021-03-01T10:00:00Z", "2021-03-01 10:00:00.5", "2021-03-01T10:00:00+02:00",
@@ -480,6 +490,54 @@ def test_parse_records_matches_oracle(lines):
     assert events == want_events
     assert [type(e.ts_ms) for e in events] == [type(e.ts_ms) for e in want_events]
     assert [str(d) for d in diags] == [str(d) for d in want_diags]
+    # equal agents are one object, as users and items are
+    assert [id(t) for t in table.source_tag] == [id(e.source_tag) for e in want_events]
+
+
+def test_int_ts_outside_int64_is_a_diagnostic():
+    lines = [f'{{"ts": {ts}, "user": "u1", "item": "a1"}}\n'
+             for ts in (2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**40)]
+    # json.loads refuses integers of more than 4,300 digits with a ValueError
+    # that is not a JSONDecodeError.
+    lines += ['{"ts": 1' + "0" * 5000 + ', "user": "u1", "item": "a1"}\n',
+              '{"ts": 0, "user": "u1", "item": "a1", "n": ' + "9" * 4301 + "}\n"]
+    table, diags = parse_events(lines, "b")
+    assert list(table.ts_ms) == [2**63 - 1, -(2**63)]
+    assert [str(d) for d in diags] == [
+        f"line {n}: ts outside the signed 64-bit range" for n in (2, 4, 5)
+    ] + ["line 6: invalid record: integer too long", "line 7: invalid record: integer too long"]
+
+
+@pytest.mark.parametrize("fmt, line", [
+    ("a", "2021-03-01T10:00:0{i}Z,u{i},a{i},Mozilla/5.0 (X11) Firefox/115.0\n"),
+    ("b", '{{"ts": {i}, "user": "u{i}", "item": "a{i}", "agent": "Mozilla/5.0 (X11) Firefox/115.0"}}\n'),
+])
+def test_equal_agents_are_one_object(fmt, line):
+    table, diags = parse_events([line.format(i=i) for i in range(3)], fmt)
+    assert diags == []
+    first = table.source_tag[0]
+    assert first == "Mozilla/5.0 (X11) Firefox/115.0"
+    assert all(tag is first for tag in table.source_tag)
+
+
+def test_parse_records_keeps_few_bytes_per_event():
+    n = 20_000
+    agents = ["Mozilla/5.0 (X11; Linux x86_64) Firefox/115.0", "Safari/605.1.15 (Macintosh)", "app/2.1"]
+    lines = [
+        f'{{"ts": {1_600_000_000_000 + 1000 * i}, "user": "user{i % 50:04d}", '
+        f'"item": "/articles/i{i % 500:06d}", "agent": "{agents[i % 3]}"}}\n'
+        for i in range(n)
+    ]
+    tracemalloc.start()
+    try:
+        table, diags = parse_events(lines, "b")
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(table), diags) == (n, [])
+    # One agent string per line and a list of int timestamps kept about 144
+    # bytes per event here.
+    assert kept / n < 60
 
 
 # --- sessionize_summaries against the LogEvent sessionizer ----------------------
@@ -492,8 +550,62 @@ def test_sessionize_summaries_match_sessionize(raw, gap_s, policy):
     assert [s.session_id for s in sessions] == list(range(len(sessions)))
     expected = SessionTable(
         [s.user_hash for s in sessions],
-        [s.start_ms for s in sessions],
-        [s.end_ms for s in sessions],
+        array("q", [s.start_ms for s in sessions]),
+        array("q", [s.end_ms for s in sessions]),
         [s.k_items for s in sessions],
     )
     assert sessionize_summaries(event_table(events), gap_s, policy) == expected
+
+
+def _check_against_oracle(events, gap_s=1800):
+    for policy in COUNT_POLICIES:
+        want = [(s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
+                for s in sessionize(events, gap_s, count_policy=policy)]
+        assert table_rows(sessionize_summaries(event_table(events), gap_s, policy)) == want
+
+
+def test_sessionize_summaries_time_ordered_log():
+    # Interleaved users, already ascending: no user needs a sort.
+    times = [*range(0, 6_000, 300), *range(10_000, 12_000, 300)]
+    events = make_events([(t, f"u{t // 300 % 3}", f"i{t % 7}") for t in times])
+    _check_against_oracle(events)
+    # Each user has a request every 900 s within a burst, and two bursts.
+    assert len(sessionize_summaries(event_table(events), 1800)) == 6
+
+
+def test_sessionize_summaries_one_user_out_of_order():
+    events = make_events([
+        (0, "u1", "a"), (10, "u2", "b"), (5000, "u1", "c"), (20, "u2", "d"),
+        (9000, "u1", "e"), (15, "u2", "b"), (4990, "u2", "f"), (4000, "u3", "a"),
+    ])
+    _check_against_oracle(events)
+    # Only u2 is out of order (20 s before 15 s); its first session is
+    # items b, d, b.
+    assert table_rows(sessionize_summaries(event_table(events), 1800)) == [
+        (0, "u1", 0, 0, 1), (1, "u2", 10_000, 20_000, 2), (2, "u3", 4_000_000, 4_000_000, 1),
+        (3, "u2", 4_990_000, 4_990_000, 1), (4, "u1", 5_000_000, 5_000_000, 1),
+        (5, "u1", 9_000_000, 9_000_000, 1),
+    ]
+
+
+def test_sessionize_summaries_equal_timestamps():
+    events = make_events([
+        (0, "u1", "b"), (0, "u1", "a"), (0, "u1", "b"), (0, "u2", "a"),
+        (100, "u2", "c"), (100, "u2", "c"), (0, "u3", "z"),
+    ])
+    _check_against_oracle(events)
+    table = sessionize_summaries(event_table(events), 1800)
+    # Equal starts are ordered by user.
+    assert table_rows(table) == [
+        (0, "u1", 0, 0, 2), (1, "u2", 0, 100_000, 2), (2, "u3", 0, 0, 1)
+    ]
+
+
+def test_sessionize_summaries_int64_extremes():
+    lo, hi = -(2**63), 2**63 - 1
+    events = [LogEvent(t, u, i) for t, u, i in [
+        (hi, "u1", "a"), (lo, "u2", "b"), (0, "u1", "c"), (lo + 5, "u2", "c"),
+        (hi - 10, "u1", "d"), (lo, "u3", "a"), (-1, "u3", "b"),
+    ]]
+    _check_against_oracle(events)
+    assert list(sessionize_summaries(event_table(events), 1800).start_ms) == [lo, lo, -1, 0, hi - 10]

@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -221,7 +223,7 @@ def test_report_stats_table(tmp_path, corpus):
 
 
 def test_sessions_csv_round_trip(tmp_path):
-    table = SessionTable(["u1", "u2"], [0, 5000], [1000, 5000], [2, 1])
+    table = SessionTable(["u1", "u2"], array("q", [0, 5000]), array("q", [1000, 5000]), [2, 1])
     path = tmp_path / "sessions.csv"
     write_sessions_csv(table, path)
     assert path.read_text(encoding="utf-8") == (
@@ -254,7 +256,7 @@ def test_parse_log_files_appends_inputs_in_order(tmp_path):
     assert (parsed, malformed) == (5, 2)
     # diagnostics are numbered per file
     assert sink.getvalue() == "line 2: expected 3 or 4 fields, got 1\nline 1: expected 3 or 4 fields, got 1\n"
-    assert parse_log_files([], "a", sink) == (EventTable([], [], [], []), 0, 0)
+    assert parse_log_files([], "a", sink) == (EventTable(array("q"), [], [], []), 0, 0)
 
 
 def test_sessionize_summaries_matches_full_sessionize():
@@ -269,7 +271,9 @@ def test_sessionize_summaries_matches_full_sessionize():
 
 
 def test_metrics_read_the_k_column():
-    table = SessionTable(["u1", "u2", "u1", "u3", "u2"], [0, 1, 2, 3, 4], [9, 9, 9, 9, 9], [1, 3, 3, 2, 5])
+    table = SessionTable(
+        ["u1", "u2", "u1", "u3", "u2"], array("q", [0, 1, 2, 3, 4]), array("q", [9] * 5), [1, 3, 3, 2, 5]
+    )
     metrics = metrics_from_summaries(table, 2)
     assert [(m.block_index, m.q, m.mean_n, m.mean_k, m.k_min, m.k_max) for m in metrics] == [
         (0, 2, 1.0, 2.0, 1, 3), (1, 2, 1.0, 2.5, 2, 3), (2, 1, 1.0, 5.0, 5, 5)
@@ -278,7 +282,7 @@ def test_metrics_read_the_k_column():
 
 
 def test_block_user_map(tmp_path):
-    sessions = SessionTable(["u1", "u2", "u1"], [0, 1, 2], [0, 1, 2], [1, 1, 1])
+    sessions = SessionTable(["u1", "u2", "u1"], array("q", [0, 1, 2]), array("q", [0, 1, 2]), [1, 1, 1])
     assert block_user_map(sessions, 2) == {0: {"u1", "u2"}, 1: {"u1"}}
 
 
@@ -286,16 +290,19 @@ def test_block_user_map(tmp_path):
 
 
 def test_session_table_len_and_truth():
-    empty = sessionize_summaries(EventTable([], [], [], []), 1800)
+    empty = sessionize_summaries(EventTable(array("q"), [], [], []), 1800)
     assert len(empty) == 0 and not empty
-    assert empty == SessionTable([], [], [], [])
+    assert empty == SessionTable([], array("q"), array("q"), [])
     table = sessionize_summaries(event_table(make_events([(0, "u1", "a"), (5, "u2", "b")])), 1800)
     assert len(table) == 2 and table
 
 
 def test_read_sessions_interns_users(tmp_path):
     path = tmp_path / "sessions.csv"
-    write_sessions_csv(SessionTable(["user-a", "user-b", "user-a"], [0, 1, 2], [0, 1, 2], [1, 1, 1]), path)
+    write_sessions_csv(
+        SessionTable(["user-a", "user-b", "user-a"], array("q", [0, 1, 2]), array("q", [0, 1, 2]), [1, 1, 1]),
+        path,
+    )
     t = read_sessions_csv(path)
     assert t.user_hash == ["user-a", "user-b", "user-a"]
     assert t.user_hash[0] is t.user_hash[2]
@@ -307,8 +314,8 @@ def test_read_sessions_keeps_few_bytes_per_row(tmp_path):
     write_sessions_csv(
         SessionTable(
             [f"user{i % 50:04d}" for i in range(n)],
-            [10**12 + 1000 * i for i in range(n)],
-            [10**12 + 1000 * i + 59_000 for i in range(n)],
+            array("q", [10**12 + 1000 * i for i in range(n)]),
+            array("q", [10**12 + 1000 * i + 59_000 for i in range(n)]),
             [1 + i % 7 for i in range(n)],
         ),
         path,
@@ -333,10 +340,17 @@ _USER_TEXT = st.text(
     ),
     max_size=6,
 )
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+def _session_table(rows) -> SessionTable:
+    users, starts, ends, ks = (list(c) for c in zip(*rows)) if rows else ([], [], [], [])
+    return SessionTable(users, array("q", starts), array("q", ends), ks)
+
+
 _TABLES = st.lists(
-    st.tuples(_USER_TEXT, st.integers(-(2**63), 2**63), st.integers(-(2**63), 2**63), st.integers(1, 10**6)),
-    max_size=12,
-).map(lambda rows: SessionTable(*(list(c) for c in zip(*rows))) if rows else SessionTable([], [], [], []))
+    st.tuples(_USER_TEXT, _INT64, _INT64, st.integers(1, 10**6)), max_size=12
+).map(_session_table)
 
 
 @given(_TABLES)
@@ -349,6 +363,34 @@ def test_sessions_csv_round_trips_any_table(tmp_path_factory, table):
         (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
         for s in oracle_read_sessions_csv(path)
     ]
+
+
+@pytest.mark.parametrize("start, end", [
+    (2**63, 2**63), (0, 2**63), (-(2**63) - 1, 0), (-(10**30), 10**30),
+])
+def test_read_sessions_rejects_times_outside_int64(tmp_path, start, end):
+    path = tmp_path / "sessions.csv"
+    path.write_text(
+        f"session_id,user_hash,start_ms,end_ms,k_items\n0,u1,0,0,1\n1,u1,{start},{end},1\n",
+        encoding="utf-8",
+    )
+    # The row-object reader accepted any int here.
+    assert len(oracle_read_sessions_csv(path)) == 2
+    row = ["1", "u1", str(start), str(end), "1"]
+    with pytest.raises(InputError, match=re.escape(
+        f"bad sessions file {path}: start_ms or end_ms outside the signed 64-bit range in row {row!r}"
+    )):
+        read_sessions_csv(path)
+
+
+def test_read_sessions_accepts_the_int64_bounds(tmp_path):
+    path = tmp_path / "sessions.csv"
+    path.write_text(
+        f"session_id,user_hash,start_ms,end_ms,k_items\n0,u1,{-(2**63)},{2**63 - 1},1\n",
+        encoding="utf-8",
+    )
+    table = read_sessions_csv(path)
+    assert (table.start_ms[0], table.end_ms[0]) == (-(2**63), 2**63 - 1)
 
 
 _FAULTS = st.one_of(
