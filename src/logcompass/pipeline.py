@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import gt
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
 from .blocks import (
     BlockMetrics,
@@ -36,6 +36,8 @@ from .events import (
     EventTable,
     FilterRules,
     LOG_FORMATS,
+    TS_MAX_MS,
+    TS_MIN_MS,
     filter_events,
     parse_events,
 )
@@ -131,16 +133,18 @@ def sessionize_summaries(
     # ties by user.
     for user in sorted(groups):
         ts, items = groups.pop(user)
+        rows: Iterable[tuple[int, str]] = zip(ts, items)
+        start = ts[0]
+        # Only a user whose events are out of time order pays for a sorted
+        # list of (ts, item) pairs. Equal timestamps then order by item,
+        # which changes no session's start, end or item count.
         if any(map(gt, ts, islice(ts, 1, None))):
-            # A stable sort: equal timestamps keep input order, and swapping
-            # them would change no session's start, end or item count.
-            perm = sorted(range(len(ts)), key=ts.__getitem__)
-            ts = array("q", map(ts.__getitem__, perm))
-            items = list(map(items.__getitem__, perm))
-        start = prev = ts[0]
+            rows = sorted(rows)
+            start = rows[0][0]
+        prev = start
         seen: set[str] = set()
         n = 0
-        for t, item in zip(ts, items):
+        for t, item in rows:
             if t - prev > gap_ms:
                 users.append(user)
                 starts.append(start)
@@ -283,6 +287,10 @@ def write_sessions_csv(table: SessionTable, path: Path) -> None:
         )
 
 
+# Rows per chunk that read_sessions_csv converts a column at a time.
+_SESSION_CHUNK = 256
+
+
 def read_sessions_csv(path: Path) -> SessionTable:
     users: list[str] = []
     starts = array("q")
@@ -294,31 +302,53 @@ def read_sessions_csv(path: Path) -> SessionTable:
     with _reading(path, "sessions") as reader:
         if next(reader, None) != _SESSION_COLS:
             raise InputError(f"bad sessions file {path}: unexpected header")
-        for i, row in enumerate(reader):
+        # map() over a column converts without a bytecode loop per row, which
+        # pays for filling the array('q') columns. A chunk failing any check
+        # is scanned again row by row, so that the error names its first
+        # faulty row, as a row-at-a-time reader would.
+        for chunk in iter(lambda: list(islice(reader, _SESSION_CHUNK)), []):
+            first = len(ks)
+            # One tuple per column, as long as the chunk; a short row leaves
+            # fewer columns.
+            cols = list(zip(*chunk))
             try:
-                session_id = int(row[0])
-                start, end, k = int(row[2]), int(row[3]), int(row[4])
-            except (IndexError, ValueError):
-                raise InputError(f"bad sessions file {path}: row {row!r}") from None
-            if k < 1:
-                raise InputError(f"bad sessions file {path}: k_items < 1 in row {row!r}")
-            if session_id != i:
-                raise InputError(
-                    f"bad sessions file {path}: session_id {session_id} at row {i}"
-                    " (ids must run 0..n-1 in order)"
-                )
-            try:
-                starts.append(start)
-                ends.append(end)
-            except OverflowError:
-                raise InputError(
-                    f"bad sessions file {path}: start_ms or end_ms outside the signed"
-                    f" 64-bit range in row {row!r}"
-                ) from None
-            user = row[1]
-            users.append(intern(user, user))
-            ks.append(k)
+                ids, chunk_ks = list(map(int, cols[0])), list(map(int, cols[4]))
+                chunk_starts = array("q", map(int, cols[2]))
+                chunk_ends = array("q", map(int, cols[3]))
+                ok = min(chunk_ks) >= 1 and ids == list(range(first, first + len(chunk)))
+            except (IndexError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                _raise_first_bad_session_row(path, chunk, first)
+            users += map(intern, cols[1], cols[1])
+            starts += chunk_starts
+            ends += chunk_ends
+            ks += chunk_ks
     return SessionTable(users, starts, ends, ks)
+
+
+def _raise_first_bad_session_row(path: Path, rows: list[list[str]], first: int) -> NoReturn:
+    """Raise the InputError of the first faulty row among rows, which hold
+    sessions first, first + 1, ... of the file."""
+    for i, row in enumerate(rows, first):
+        try:
+            session_id = int(row[0])
+            start, end, k = int(row[2]), int(row[3]), int(row[4])
+        except (IndexError, ValueError):
+            raise InputError(f"bad sessions file {path}: row {row!r}") from None
+        if k < 1:
+            raise InputError(f"bad sessions file {path}: k_items < 1 in row {row!r}")
+        if session_id != i:
+            raise InputError(
+                f"bad sessions file {path}: session_id {session_id} at row {i}"
+                " (ids must run 0..n-1 in order)"
+            )
+        if not (TS_MIN_MS <= start <= TS_MAX_MS and TS_MIN_MS <= end <= TS_MAX_MS):
+            raise InputError(
+                f"bad sessions file {path}: start_ms or end_ms outside the signed"
+                f" 64-bit range in row {row!r}"
+            )
+    raise AssertionError("a chunk of sessions failed a check that none of its rows fails")
 
 
 _METRIC_COLS = [

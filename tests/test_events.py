@@ -17,6 +17,8 @@ from logcompass.events import (
     FilterRules,
     LogEvent,
     ParseDiagnostic,
+    TS_MAX_MS,
+    TS_MIN_MS,
     _parse_records,
     filter_events,
     parse_events,
@@ -408,7 +410,7 @@ def oracle_parse_records(lines):
             diags.append(ParseDiagnostic(line_no, "ts must be ISO-8601 text or epoch milliseconds"))
             continue
         if isinstance(ts_val, int):
-            if not -(2**63) <= ts_val < 2**63:
+            if not TS_MIN_MS <= ts_val <= TS_MAX_MS:
                 diags.append(ParseDiagnostic(line_no, "ts outside the signed 64-bit range"))
                 continue
             ts = ts_val

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from helpers import (
     table_events,
     table_rows,
 )
+from logcompass import pipeline
 from logcompass.errors import InputError
 from logcompass.events import EventTable, FilterRules, LogEvent
 from logcompass.pipeline import (
@@ -417,8 +419,11 @@ def _corrupt(row: list[str], fault) -> list[str]:
     st.lists(st.tuples(st.sampled_from(["u1", "u,2", 'u"3']), st.integers(0, 9), st.integers(1, 4)),
              min_size=1, max_size=10),
     st.lists(st.tuples(st.integers(0, 9), _FAULTS), min_size=1, max_size=3),
+    # Chunks smaller than the file put a fault and the rows before it in
+    # different chunks.
+    st.sampled_from([1, 2, 3, pipeline._SESSION_CHUNK]),
 )
-def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, faults):
+def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, faults, chunk):
     lines = [["session_id", "user_hash", "start_ms", "end_ms", "k_items"]]
     lines += [[str(i), u, str(t), str(t + 1), str(k)] for i, (u, t, k) in enumerate(rows)]
     for at, fault in faults:
@@ -427,16 +432,17 @@ def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, f
     path = tmp_path_factory.mktemp("bad") / "sessions.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(lines)
-    try:
-        want = oracle_read_sessions_csv(path)
-    except InputError as exc:
-        with pytest.raises(InputError) as got:
-            read_sessions_csv(path)
-        assert str(got.value) == str(exc)
-    else:
-        assert table_rows(read_sessions_csv(path)) == [
-            (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items) for s in want
-        ]
+    with mock.patch.object(pipeline, "_SESSION_CHUNK", chunk):
+        try:
+            want = oracle_read_sessions_csv(path)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                read_sessions_csv(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert table_rows(read_sessions_csv(path)) == [
+                (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items) for s in want
+            ]
 
 
 def test_first_faulty_row_wins(tmp_path):
@@ -447,6 +453,20 @@ def test_first_faulty_row_wins(tmp_path):
     )
     with pytest.raises(InputError, match=r"k_items < 1 in row \['1', 'u1', '0', '0', '0'\]"):
         read_sessions_csv(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_first_faulty_row_wins_across_chunks(tmp_path, chunk):
+    path = tmp_path / "sessions.csv"
+    path.write_text(
+        "session_id,user_hash,start_ms,end_ms,k_items\n"
+        f"0,u1,0,0,1\n1,u1,{2**63},0,1\n2,u1,0,0,0\n3,u1\n",
+        encoding="utf-8",
+    )
+    row = ["1", "u1", str(2**63), "0", "1"]
+    with mock.patch.object(pipeline, "_SESSION_CHUNK", chunk):
+        with pytest.raises(InputError, match=re.escape(f"64-bit range in row {row!r}")):
+            read_sessions_csv(path)
 
 
 # --- artifacts that are not UTF-8 ------------------------------------------------
