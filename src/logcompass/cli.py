@@ -42,6 +42,13 @@ def load_filter_rules(path: str | Path) -> FilterRules:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad filter file {path}: {exc.msg}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"bad filter file {path}: not UTF-8 text") from None
+        except ValueError:
+            # A number past int()'s limit of 4,300 digits.
+            raise ConfigError(f"bad filter file {path}: integer too long") from None
+        except RecursionError:
+            raise ConfigError(f"bad filter file {path}: nested too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(f"bad filter file {path}: expected a JSON object")
     unknown = sorted(set(data) - {"agent_deny_patterns", "item_allow_pattern"})

@@ -170,11 +170,15 @@ def _parse_delimited(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagno
 
 
 def _parse_records(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnostic]]:
-    # json.loads yields exact int, str and dict, so `type(x) is` checks suffice;
-    # a bool ts is not an int here and gets the same diagnostic as a float.
+    # json yields exact int, str and dict, so `type(x) is` checks suffice; a
+    # bool ts is not an int here and gets the same diagnostic as a float.
     table = EventTable(array("q"), [], [], [])
     diags: list[ParseDiagnostic] = []
     intern = sys.intern
+    # A stripped line has no JSON whitespace around it, so a raw_decode that
+    # takes the whole line yields what json.loads would, without loads's
+    # wrapper; any other line goes to loads, which words the diagnostic.
+    raw_decode = json.JSONDecoder().raw_decode
     loads = json.loads
     add_ts = table.ts_ms.append
     add_user = table.user_hash.append
@@ -189,14 +193,22 @@ def _parse_records(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnost
             diags.append(ParseDiagnostic(line_no, "empty line"))
             continue
         try:
-            rec = loads(line)
-        except json.JSONDecodeError as exc:
-            diags.append(ParseDiagnostic(line_no, f"invalid record: {exc.msg}"))
-            continue
-        except ValueError:
-            # A number past int()'s limit of 4,300 digits.
-            diags.append(ParseDiagnostic(line_no, "invalid record: integer too long"))
-            continue
+            rec, end = raw_decode(line)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            try:
+                rec = loads(line)
+            except json.JSONDecodeError as exc:
+                diags.append(ParseDiagnostic(line_no, f"invalid record: {exc.msg}"))
+                continue
+            except ValueError:
+                # A number past int()'s limit of 4,300 digits.
+                diags.append(ParseDiagnostic(line_no, "invalid record: integer too long"))
+                continue
+            except RecursionError:
+                diags.append(ParseDiagnostic(line_no, "invalid record: nested too deeply"))
+                continue
         if type(rec) is not dict:
             diags.append(ParseDiagnostic(line_no, "record is not an object"))
             continue

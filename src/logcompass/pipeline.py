@@ -10,6 +10,7 @@ row orders, repr-rendered floats, sorted JSON keys, LF line endings.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys
 from array import array
@@ -276,19 +277,41 @@ def _reading(path: Path, kind: str) -> Iterator[Iterator[list[str]]]:
 
 
 _SESSION_COLS = ["session_id", "user_hash", "start_ms", "end_ms", "k_items"]
+# Rows per chunk that read_sessions_csv converts a column at a time and that
+# write_sessions_csv joins into one write.
+_SESSION_CHUNK = 256
+
+
+def _rendered_fields(dialect: csv.Dialect, texts: Iterable[str]) -> dict[str, str]:
+    """Each text as csv renders it in a row field under dialect.
+
+    A text is rendered beside a second field, because csv writes a row of
+    one empty field as "" but an empty field beside others as nothing.
+    """
+    buf = io.StringIO()
+    render = csv.writer(buf, dialect)
+    shown: dict[str, str] = {}
+    for text in texts:
+        render.writerow((text, 0))
+        shown[text] = buf.getvalue()[: -len(",0" + dialect.lineterminator)]
+        buf.seek(0)
+        buf.truncate()
+    return shown
 
 
 def write_sessions_csv(table: SessionTable, path: Path) -> None:
+    # csv renders each distinct user once; the int columns, which csv never
+    # quotes under either quoting, go into each row's f-string as they are.
+    distinct = set(table.user_hash)
+    users, starts, ends, ks = table.user_hash, table.start_ms, table.end_ms, table.k_items
     with _open_w(path) as fh:
-        w = _text_writer(fh, set(table.user_hash))
+        w = _text_writer(fh, distinct)
         w.writerow(_SESSION_COLS)
-        w.writerows(
-            zip(range(len(table)), table.user_hash, table.start_ms, table.end_ms, table.k_items)
-        )
-
-
-# Rows per chunk that read_sessions_csv converts a column at a time.
-_SESSION_CHUNK = 256
+        shown = _rendered_fields(w.dialect, distinct)
+        for lo in range(0, len(users), _SESSION_CHUNK):
+            hi = lo + _SESSION_CHUNK
+            rows = zip(range(lo, hi), users[lo:hi], starts[lo:hi], ends[lo:hi], ks[lo:hi])
+            fh.write("".join([f"{i},{shown[u]},{s},{e},{k}\n" for i, u, s, e, k in rows]))
 
 
 def read_sessions_csv(path: Path) -> SessionTable:
@@ -313,8 +336,9 @@ def read_sessions_csv(path: Path) -> SessionTable:
             cols = list(zip(*chunk))
             try:
                 ids, chunk_ks = list(map(int, cols[0])), list(map(int, cols[4]))
-                chunk_starts = array("q", map(int, cols[2]))
-                chunk_ends = array("q", map(int, cols[3]))
+                # array() fills faster from a list than from an iterator.
+                chunk_starts = array("q", list(map(int, cols[2])))
+                chunk_ends = array("q", list(map(int, cols[3])))
                 ok = min(chunk_ks) >= 1 and ids == list(range(first, first + len(chunk)))
             except (IndexError, ValueError, OverflowError):
                 ok = False

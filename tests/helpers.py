@@ -84,6 +84,21 @@ def oracle_read_sessions_csv(path: Path) -> list[SessionSummary]:
     return out
 
 
+def oracle_write_sessions_csv(table, path: Path) -> None:
+    """The csv.writer sessions.csv writer that write_sessions_csv replaced,
+    kept as the reference for its bytes: a user holding CR switches the whole
+    file, header included, to QUOTE_NONNUMERIC."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        quoting = (
+            csv.QUOTE_NONNUMERIC if any("\r" in u for u in table.user_hash) else csv.QUOTE_MINIMAL
+        )
+        w = csv.writer(fh, lineterminator="\n", quoting=quoting)
+        w.writerow(["session_id", "user_hash", "start_ms", "end_ms", "k_items"])
+        w.writerows(
+            zip(range(len(table)), table.user_hash, table.start_ms, table.end_ms, table.k_items)
+        )
+
+
 # --- the LogEvent sessionizer that sessionize_summaries replaced ------------------
 
 

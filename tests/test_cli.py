@@ -134,6 +134,19 @@ def test_bad_filters_file_is_config_error(tmp_path):
     assert main(["ingest", "--input", "x", "--filters", str(rules), "--out", "y"]) == 1
 
 
+@pytest.mark.parametrize("data, reason", [
+    # each of these once ended the run with exit 3
+    (b"[" * 5000 + b"]" * 5000, "nested too deeply"),
+    (b'{"agent_deny_patterns": ["\xff"]}', "not UTF-8 text"),
+    (b'{"agent_deny_patterns": [' + b"1" * 5000 + b"]}", "integer too long"),
+])
+def test_unreadable_filters_file_is_config_error(tmp_path, capsys, data, reason):
+    rules = tmp_path / "rules.json"
+    rules.write_bytes(data)
+    assert main(["ingest", "--input", "x", "--filters", str(rules), "--out", "y"]) == 1
+    assert capsys.readouterr().err == f"configuration error: bad filter file {rules}: {reason}\n"
+
+
 def _routes_file(tmp_path):
     path = tmp_path / "routes.csv"
     path.write_text(
@@ -232,6 +245,17 @@ def test_non_utf8_artifact_exits_2(tmp_path, capsys, cmd, artifact, text):
     out = ["--out-dir", str(tmp_path)] if cmd[0] == "metrics" else ["--out", str(tmp_path / "c.csv")]
     assert main(cmd + [f"--{artifact}", str(path)] + out) == 2
     assert capsys.readouterr().err == f"input error: bad {artifact} file {path}: not UTF-8 text\n"
+
+
+def test_deeply_nested_record_does_not_stop_run(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text("[" * 1000 + "]" * 1000 + '\n{"ts": 5, "user": "u2", "item": "a2"}\n',
+                   encoding="utf-8")
+    assert main(["run", "--input", str(log), "--format", "b", "--block-size", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == "line 1: invalid record: nested too deeply\n"
+    rows = (tmp_path / "out" / "sessions.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1:] == ["0,u2,5,5,1"]
 
 
 def test_user_with_cr_round_trips_through_stage_commands(tmp_path, capsys):

@@ -398,6 +398,9 @@ def oracle_parse_records(lines):
         except ValueError:
             diags.append(ParseDiagnostic(line_no, "invalid record: integer too long"))
             continue
+        except RecursionError:
+            diags.append(ParseDiagnostic(line_no, "invalid record: nested too deeply"))
+            continue
         if not isinstance(rec, dict):
             diags.append(ParseDiagnostic(line_no, "record is not an object"))
             continue
@@ -479,7 +482,25 @@ _RECORD_LINES = st.one_of(
     _RECORDS.map(lambda r: json.dumps(r, ensure_ascii=False)),
     st.tuples(_RECORDS.map(json.dumps), st.integers(0, 60)).map(lambda p: p[0][: p[1]]),
     st.sampled_from(["", "   ", "[1, 2]", "3", '"x"', "null", "true", "{not json}",
-                     '{"ts": 0} {}', "\ufeff{}", '{"ts": 0, "ts": 1}']),
+                     '{"ts": 0} {}', "\ufeff{}", '{"ts": 0, "ts": 1}',
+                     # far past the recursion limit
+                     "[" * 100_000,
+                     # JSON whitespace, then more data
+                     "{} \t x", '{"ts": 0, "user": "u", "item": "i"}\t\r 1',
+                     # a BOM that str.strip does not remove
+                     " \ufeff{}",
+                     # ts values that json takes but the parser must refuse
+                     '{"ts": NaN, "user": "u", "item": "i"}',
+                     '{"ts": Infinity, "user": "u", "item": "i"}',
+                     '{"ts": -Infinity, "user": "u", "item": "i"}',
+                     # an integer too long for int(), then more data
+                     "[" + "1" * 5000 + "] x", "1" * 5000 + " {}"]),
+    # whitespace that str.strip removes but JSON does not allow
+    st.tuples(
+        st.sampled_from(["\x0c", "\x1f", "\xa0", "\u2028", "\u3000"]),
+        st.sampled_from(['{"ts": 0, "user": "u", "item": "i"}', "{}", "[1]"]),
+        st.sampled_from(["\x0c", "\x1f", "\xa0", "\u2028", "\u3000", ""]),
+    ).map("".join),
     st.text(max_size=8),
 ).map(lambda s: s + "\n")
 
@@ -494,6 +515,16 @@ def test_parse_records_matches_oracle(lines):
     assert [str(d) for d in diags] == [str(d) for d in want_diags]
     # equal agents are one object, as users and items are
     assert [id(t) for t in table.source_tag] == [id(e.source_tag) for e in want_events]
+
+
+def test_deeply_nested_record_is_a_diagnostic():
+    lines = ["[" * 100_000 + "\n", "[" * 1000 + "]" * 1000 + "\n", '{"a": ' * 1000 + "\n",
+             '{"ts": 0, "user": "u1", "item": "a1"}\n']
+    table, diags = parse_events(lines, "b")
+    assert table_events(table) == [LogEvent(0, "u1", "a1")]
+    assert [str(d) for d in diags] == [
+        f"line {n}: invalid record: nested too deeply" for n in (1, 2, 3)
+    ]
 
 
 def test_int_ts_outside_int64_is_a_diagnostic():

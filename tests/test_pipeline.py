@@ -18,6 +18,7 @@ from helpers import (
     event_table,
     make_events,
     oracle_read_sessions_csv,
+    oracle_write_sessions_csv,
     sessionize,
     table_events,
     table_rows,
@@ -365,6 +366,30 @@ def test_sessions_csv_round_trips_any_table(tmp_path_factory, table):
         (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
         for s in oracle_read_sessions_csv(path)
     ]
+
+
+def _same_bytes_as_oracle(table, directory):
+    write_sessions_csv(table, directory / "got.csv")
+    oracle_write_sessions_csv(table, directory / "want.csv")
+    return (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+
+
+@given(_TABLES, st.sampled_from([1, 2, 3, pipeline._SESSION_CHUNK]))
+def test_write_sessions_matches_oracle_bytes(tmp_path_factory, table, chunk):
+    with mock.patch.object(pipeline, "_SESSION_CHUNK", chunk):
+        assert _same_bytes_as_oracle(table, tmp_path_factory.mktemp("wb"))
+
+
+# Rendered alone, csv writes an empty field as "", but as nothing inside a
+# row; CR switches the file to QUOTE_NONNUMERIC, where "" is written.
+@pytest.mark.parametrize("user", ["", " ", "\r", '"', ",", "\n", "\u2028", 'a"b,c', "1", "-2"])
+@pytest.mark.parametrize("others", [[], ["u1"], ["u1", "x\ry"]])
+def test_write_sessions_bytes_for_special_users(tmp_path, user, others):
+    users = [user, *others, user]
+    n = len(users)
+    table = SessionTable(users, array("q", range(n)), array("q", range(1, n + 1)), [1] * n)
+    assert _same_bytes_as_oracle(table, tmp_path)
+    assert read_sessions_csv(tmp_path / "got.csv") == table
 
 
 @pytest.mark.parametrize("start, end", [
