@@ -6,16 +6,7 @@ six admissible behavior types, and derives search routes, communities, and
 compass-graph analytics from the result.
 """
 
-from .blocks import (
-    Block,
-    BlockMetrics,
-    UsageHistogram,
-    compute_block_means,
-    compute_histogram,
-    compute_variety_series,
-    metric_bounds,
-    partition_blocks,
-)
+from .blocks import BlockMetrics, block_means, compute_variety_series, metric_bounds
 from .compass import (
     CrownGraph,
     assortativity,

@@ -11,24 +11,9 @@ none of the three.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
-
-
-@dataclass(frozen=True)
-class Block:
-    """k_items[j] is the item count K of the block's j-th session."""
-
-    block_index: int
-    k_items: tuple[int, ...]
-    search_volume: int
-
-
-@dataclass(frozen=True)
-class UsageHistogram:
-    """entries[k] = number of sessions in the block that read exactly k items."""
-
-    entries: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -46,58 +31,35 @@ class BlockMetrics:
     variety: float | None = None
 
 
-def partition_blocks(k_items: Sequence[int], block_size: int) -> list[Block]:
-    """Cut the K values of sessions (already in global order) into consecutive
-    runs of block_size.
+def block_means(k_items: Sequence[int], block_size: int) -> list[BlockMetrics]:
+    """Cut the K values of sessions (already in global order) into
+    consecutive blocks of block_size and reduce each to means and extremes
+    (variety left unset). The final block may be smaller.
 
-    The final block may be smaller; its search_volume says so. An empty
-    sequence yields an empty block list.
+    Each block counts its sessions per K value once. mean_k is the
+    per-session mean item count; mean_n averages the session counts over
+    the distinct observed K values.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    blocks: list[Block] = []
-    for i in range(0, len(k_items), block_size):
-        chunk = tuple(k_items[i : i + block_size])
-        blocks.append(Block(len(blocks), chunk, len(chunk)))
-    return blocks
-
-
-def compute_histogram(block: Block) -> UsageHistogram:
-    """Count sessions per intensity value; entry counts sum to the block volume."""
-    if not block.k_items:
-        raise ValueError("empty block")
-    entries: dict[int, int] = {}
-    for k in block.k_items:
-        if k < 1:
-            raise ValueError(f"k_items must be >= 1, got {k}")
-        entries[k] = entries.get(k, 0) + 1
-    return UsageHistogram(dict(sorted(entries.items())))
-
-
-def compute_block_means(histogram: UsageHistogram, block: Block) -> BlockMetrics:
-    """Reduce a block histogram to means and extremes (variety left unset).
-
-    mean_k is the per-session mean item count; mean_n averages the reader
-    counts over the distinct observed K values.
-    """
-    entries = histogram.entries
-    if not entries:
-        raise ValueError("empty histogram")
-    q = sum(entries.values())
-    if q != block.search_volume:
-        raise ValueError(
-            f"histogram mass {q} does not match block volume {block.search_volume}"
+    out: list[BlockMetrics] = []
+    for b, i in enumerate(range(0, len(k_items), block_size)):
+        block = k_items[i : i + block_size]
+        counts = Counter(block)
+        q = len(block)
+        out.append(
+            BlockMetrics(
+                block_index=b,
+                q=q,
+                mean_n=q / len(counts),
+                mean_k=sum(block) / q,
+                n_min=min(counts.values()),
+                n_max=max(counts.values()),
+                k_min=min(counts),
+                k_max=max(counts),
+            )
         )
-    return BlockMetrics(
-        block_index=block.block_index,
-        q=q,
-        mean_n=q / len(entries),
-        mean_k=sum(k * n for k, n in entries.items()) / q,
-        n_min=min(entries.values()),
-        n_max=max(entries.values()),
-        k_min=min(entries),
-        k_max=max(entries),
-    )
+    return out
 
 
 def compute_variety_series(metrics: Sequence[BlockMetrics]) -> list[BlockMetrics]:

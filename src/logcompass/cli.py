@@ -11,16 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from contextlib import nullcontext
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import pipeline
-from .compass import build_base_graph
 from .errors import ConfigError, InputError
-from .events import FilterRules, filter_events
-from .graphio import GRAPH_FORMATS, export_graph
-from .pipeline import ARTIFACT_FILES, GRAPH_FILES, PipelineConfig
-from .routes import detect_communities, transition_edge_weights
+from .events import COUNT_POLICIES, LOG_FORMATS, FilterRules
+from .graphio import GRAPH_FORMATS
+from .pipeline import PipelineConfig
+from .routes import GROUPINGS
 from .synth import SynthProfile, load_profile, write_log
 from .taxonomy import ClassifierConfig
 
@@ -67,13 +67,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="logcompass", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_ingest_flags(p):
-        p.add_argument("--input", action="append", required=True, help="log file (repeatable)")
-        p.add_argument("--format", choices=["a", "b"], default="a", help="log format")
-        p.add_argument("--gap-seconds", type=float, default=1800.0)
-        p.add_argument("--count-policy", choices=["distinct", "raw"], default="distinct")
-        p.add_argument("--filters", help="JSON filter rules file")
-        p.add_argument("--diagnostics", help="write malformed-line diagnostics here instead of stderr")
+    # The flags of run and the stage commands, each spelled once. A flag's
+    # dest names a PipelineConfig or ClassifierConfig field, and a flag left
+    # out is not set at all, so that its field keeps its default (see _config).
+    flags = {
+        "--input": dict(dest="inputs", metavar="INPUT", type=Path, action="append", required=True,
+                        help="log file (repeatable)"),
+        "--format": dict(dest="log_format", choices=LOG_FORMATS, help="log format"),
+        "--gap-seconds": dict(type=float),
+        "--count-policy": dict(choices=COUNT_POLICIES),
+        "--filters": dict(default=None, help="JSON filter rules file"),
+        "--diagnostics": dict(default=None,
+                              help="write malformed-line diagnostics here instead of stderr"),
+        "--block-size": dict(type=int),
+        "--z": dict(type=float),
+        "--epsilon": dict(type=float),
+        "--grouping": dict(choices=GROUPINGS),
+        "--linkage": dict(dest="linkage_threshold", metavar="LINKAGE", type=float),
+        "--export": dict(dest="export_formats", action="append", choices=GRAPH_FORMATS,
+                         help="graph format (repeatable; default all)"),
+    }
+    ingest = ["--input", "--format", "--gap-seconds", "--count-policy", "--filters", "--diagnostics"]
+
+    def stage(name, func, help, names):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
+        return p
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic log")
     p.add_argument("--profile", help="JSON profile file")
@@ -88,58 +109,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift-q", type=float)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse, filter, and sessionize logs")
-    add_ingest_flags(p)
+    p = stage("ingest", _cmd_ingest, "parse, filter, and sessionize logs", ingest)
     p.add_argument("--out", required=True, help="sessions.csv path")
-    p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("metrics", help="block metrics from a sessions file")
+    p = stage("metrics", _cmd_metrics, "block metrics from a sessions file", ["--block-size"])
     p.add_argument("--sessions", required=True)
-    p.add_argument("--block-size", type=int, default=10_000)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_metrics)
+    p.add_argument("--out-dir", type=Path, required=True)
 
-    p = sub.add_parser("classify", help="classify blocks from a metrics file")
+    p = stage("classify", _cmd_classify, "classify blocks from a metrics file", ["--z", "--epsilon"])
     p.add_argument("--metrics", required=True)
-    p.add_argument("--z", type=float, default=0.25)
-    p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("routes", help="routes and transitions from classifications")
+    p = stage("routes", _cmd_routes, "routes and transitions from classifications",
+              ["--block-size", "--grouping"])
     p.add_argument("--classifications", required=True)
     p.add_argument("--sessions", required=True)
-    p.add_argument("--block-size", type=int, default=10_000)
-    p.add_argument("--grouping", choices=["stream", "user"], default="stream")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_routes)
+    p.add_argument("--out-dir", type=Path, required=True)
 
-    p = sub.add_parser("communities", help="single-linkage communities from routes")
+    p = stage("communities", _cmd_communities, "single-linkage communities from routes", ["--linkage"])
     p.add_argument("--routes", required=True)
-    p.add_argument("--linkage", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_communities)
 
-    p = sub.add_parser("graph", help="export the compass graph")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--export", action="append", choices=list(GRAPH_FORMATS),
-                   help="format (repeatable; default all)")
-    p.add_argument("--transitions", help="weight edges from a transitions.csv")
-    p.set_defaults(func=_cmd_graph)
+    p = stage("graph", _cmd_graph, "export the compass graph", ["--export"])
+    p.add_argument("--out-dir", type=Path, required=True)
+    p.add_argument("--transitions", default=None, help="weight edges from a transitions.csv")
 
-    p = sub.add_parser("run", help="full pipeline: logs in, artifacts out")
-    add_ingest_flags(p)
-    p.add_argument("--block-size", type=int, default=10_000)
-    p.add_argument("--z", type=float, default=0.25)
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--grouping", choices=["stream", "user"], default="stream")
-    p.add_argument("--linkage", type=float, default=0.0)
-    p.add_argument("--out", required=True, help="artifact directory")
-    p.add_argument("--export", action="append", choices=list(GRAPH_FORMATS),
-                   help="graph format (repeatable; default all)")
-    p.add_argument("--weight-from-transitions", action="store_true",
-                   help="weight compass edges by observed route transitions")
-    p.set_defaults(func=_cmd_run)
+    p = stage("run", _cmd_run, "full pipeline: logs in, artifacts out",
+              ingest + ["--block-size", "--z", "--epsilon", "--grouping", "--linkage", "--export"])
+    p.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, required=True,
+                   help="artifact directory")
+    p.add_argument("--weight-from-transitions", dest="weight_edges_from_transitions",
+                   action="store_true", help="weight compass edges by observed route transitions")
 
     p = sub.add_parser("report", help="print a summary from saved artifacts")
     p.add_argument("--artifacts", required=True)
@@ -148,10 +148,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _diag_sink(args):
+def _config(args) -> PipelineConfig:
+    """The one PipelineConfig of a command's flags, validated as `run`
+    validates it; a field whose flag was left out keeps its default."""
+    flags = vars(args)
+    settings, classifier = (
+        {f.name: flags[f.name] for f in fields(cls) if f.name in flags}
+        for cls in (PipelineConfig, ClassifierConfig)
+    )
+    for name in ("inputs", "export_formats"):  # repeatable flags arrive as lists
+        if name in settings:
+            settings[name] = tuple(settings[name])
+    rules = load_filter_rules(args.filters) if flags.get("filters") else FilterRules()
+    return PipelineConfig(**settings, filter_rules=rules, classifier=ClassifierConfig(**classifier))
+
+
+def _in_dir(out_dir: Path) -> pipeline.PathOf:
+    """path(key) for a stage function: the key's file under out_dir, which
+    is made on first use."""
+
+    def path(key: str) -> Path:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return pipeline.artifact_path(out_dir, key)
+
+    return path
+
+
+def _diagnostics(args):
     if args.diagnostics:
         return open(args.diagnostics, "w", encoding="utf-8", newline="")
-    return None
+    return nullcontext()
 
 
 def _cmd_synth(args) -> int:
@@ -173,102 +199,58 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    rules = load_filter_rules(args.filters) if args.filters else FilterRules()
-    sink = _diag_sink(args)
-    try:
-        events, _, _ = pipeline.parse_log_files(args.input, args.format, sink)
-    finally:
-        if sink is not None:
-            sink.close()
-    kept = filter_events(events, rules)
-    summaries = pipeline.sessionize_summaries(kept, args.gap_seconds, args.count_policy)
-    if not summaries:
-        raise InputError("no sessions")
-    pipeline.write_sessions_csv(summaries, Path(args.out))
-    print(f"sessions: {len(summaries)}")
+    cfg = _config(args)
+    with _diagnostics(args) as sink:
+        sessions, *_ = pipeline.run_ingest(cfg, lambda key: Path(args.out), sink)
+    print(f"sessions: {len(sessions)}")
     return EXIT_OK
 
 
 def _cmd_metrics(args) -> int:
-    summaries = pipeline.read_sessions_csv(Path(args.sessions))
-    metrics = pipeline.metrics_from_summaries(summaries, args.block_size)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pipeline.write_metrics_csv(metrics, out / ARTIFACT_FILES["metrics"])
-    pipeline.write_metrics_jsonl(metrics, out / ARTIFACT_FILES["metrics_records"])
+    cfg = _config(args)
+    sessions = pipeline.read_sessions_csv(Path(args.sessions))
+    metrics = pipeline.run_metrics(sessions, cfg, _in_dir(cfg.out_dir))
     print(f"blocks: {len(metrics)}")
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
+    cfg = _config(args)
     metrics = pipeline.read_metrics_csv(Path(args.metrics))
-    cfg = ClassifierConfig(z=args.z, epsilon=args.epsilon)
-    classifications = pipeline.classify_series(metrics, cfg)
-    pipeline.write_classifications_csv(classifications, Path(args.out))
+    classifications = pipeline.run_classify(metrics, cfg, lambda key: Path(args.out))
     print(f"classified blocks: {len(classifications)}")
     return EXIT_OK
 
 
 def _cmd_routes(args) -> int:
+    cfg = _config(args)
     classifications = pipeline.read_classifications_csv(Path(args.classifications))
-    summaries = pipeline.read_sessions_csv(Path(args.sessions))
-    routes, transitions = pipeline.routes_from_classifications(
-        classifications, summaries, args.block_size, args.grouping
-    )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pipeline.write_routes_csv(routes, out / ARTIFACT_FILES["routes"])
-    pipeline.write_transitions_csv(transitions, out / ARTIFACT_FILES["transitions"])
+    sessions = pipeline.read_sessions_csv(Path(args.sessions))
+    routes, _ = pipeline.run_routes(classifications, sessions, cfg, _in_dir(cfg.out_dir))
     print(f"routes: {len(routes)}")
     return EXIT_OK
 
 
 def _cmd_communities(args) -> int:
+    cfg = _config(args)
     routes = pipeline.read_routes_csv(Path(args.routes))
-    communities = detect_communities(routes, args.linkage)
-    pipeline.write_communities_csv(communities, Path(args.out))
+    communities = pipeline.run_communities(routes, cfg, lambda key: Path(args.out))
     print(f"communities: {len(communities)}")
     return EXIT_OK
 
 
 def _cmd_graph(args) -> int:
-    weights = None
-    if args.transitions:
-        tg = pipeline.read_transitions_csv(Path(args.transitions))
-        weights = transition_edge_weights(tg)
-    graph = build_base_graph(weights)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for fmt in args.export or list(GRAPH_FORMATS):
-        path = out / GRAPH_FILES[fmt]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(export_graph(graph, fmt))
+    cfg = _config(args)
+    transitions = pipeline.read_transitions_csv(Path(args.transitions)) if args.transitions else None
+    for path in pipeline.run_graph(transitions, cfg, _in_dir(cfg.out_dir)):
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    rules = load_filter_rules(args.filters) if args.filters else FilterRules()
-    cfg = PipelineConfig(
-        inputs=tuple(Path(p) for p in args.input),
-        out_dir=Path(args.out),
-        log_format=args.format,
-        filter_rules=rules,
-        gap_seconds=args.gap_seconds,
-        count_policy=args.count_policy,
-        block_size=args.block_size,
-        classifier=ClassifierConfig(z=args.z, epsilon=args.epsilon),
-        grouping=args.grouping,
-        linkage_threshold=args.linkage,
-        export_formats=tuple(args.export) if args.export else ("canonical", "dot", "graphml"),
-        weight_edges_from_transitions=args.weight_from_transitions,
-    )
-    sink = _diag_sink(args)
-    try:
+    cfg = _config(args)
+    with _diagnostics(args) as sink:
         pipeline.run_pipeline(cfg, sink)
-    finally:
-        if sink is not None:
-            sink.close()
     print(pipeline.report_stats(cfg.out_dir))
     return EXIT_OK
 

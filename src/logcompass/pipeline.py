@@ -2,9 +2,12 @@
 
 Stage order: ingest (parse, filter, sessionize) -> block metrics ->
 classification -> routes -> communities -> graph exports -> report. Each
-stage reads only the artifacts of earlier stages, so the CLI can run them
-separately on saved intermediates. All outputs are deterministic: fixed
-row orders, repr-rendered floats, sorted JSON keys, LF line endings.
+stage is one run_* function that computes it from the results of earlier
+stages and writes its artifacts; run_pipeline calls them in order, and each
+CLI stage command calls one on artifacts read back from disk. All outputs
+are deterministic: fixed row orders, repr-rendered floats, sorted JSON
+keys, LF line endings, and every csv artifact is written by one writer and
+read through one reader front end.
 """
 
 from __future__ import annotations
@@ -12,23 +15,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from operator import gt
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
 
-from .blocks import (
-    BlockMetrics,
-    compute_block_means,
-    compute_histogram,
-    compute_variety_series,
-    metric_bounds,
-    partition_blocks,
-)
+from .blocks import BlockMetrics, block_means, compute_variety_series, metric_bounds
 from .compass import build_base_graph
 from .errors import ConfigError, InputError
 from .events import (
@@ -76,6 +73,12 @@ ARTIFACT_FILES = {
 }
 GRAPH_FILES = {"canonical": "compass.canonical", "dot": "compass.dot", "graphml": "compass.graphml"}
 
+
+def artifact_path(out_dir: Path | str, key: str) -> Path:
+    """The file of an ARTIFACT_FILES or GRAPH_FILES key under out_dir."""
+    return Path(out_dir) / (ARTIFACT_FILES.get(key) or GRAPH_FILES[key])
+
+
 _NODE_LABELS = tuple(sorted(NODE_BY_LABEL))
 
 
@@ -97,6 +100,16 @@ class SessionTable:
         return len(self.k_items)
 
 
+def _gap_ms(gap_seconds: float) -> int:
+    """The session gap in whole milliseconds; a gap that is not positive, or
+    not finite in milliseconds, is a ConfigError."""
+    if not gap_seconds > 0:
+        raise ConfigError("gap_seconds must be positive")
+    if not math.isfinite(gap_seconds * 1000):
+        raise ConfigError(f"gap_seconds must be finite in milliseconds, got {gap_seconds!r}")
+    return round(gap_seconds * 1000)
+
+
 def sessionize_summaries(
     events: EventTable, gap_seconds: float, count_policy: str = "distinct"
 ) -> SessionTable:
@@ -108,13 +121,11 @@ def sessionize_summaries(
     broken by user_hash, which is total: one user's sessions never share a
     start.
     """
-    if not gap_seconds > 0:
-        raise ConfigError("gap_seconds must be positive")
+    gap_ms = _gap_ms(gap_seconds)
     if count_policy not in COUNT_POLICIES:
         raise ConfigError(
             f"unknown count policy {count_policy!r} (expected one of {COUNT_POLICIES})"
         )
-    gap_ms = round(gap_seconds * 1000)
     distinct = count_policy == "distinct"
     # Each user's timestamps and items, in input order.
     groups: dict[str, tuple[array, list[str]]] = {}
@@ -183,8 +194,14 @@ def sessionize_summaries(
 
 @dataclass
 class PipelineConfig:
-    inputs: tuple[Path, ...]
-    out_dir: Path
+    """The settings of every stage, validated once.
+
+    inputs and out_dir are read by run_pipeline and by the stage commands
+    whose flags name them; a stage that reads saved artifacts needs neither.
+    """
+
+    inputs: tuple[Path, ...] = ()
+    out_dir: Path = Path()
     log_format: str = "a"
     filter_rules: FilterRules = field(default_factory=FilterRules)
     gap_seconds: float = DEFAULT_GAP_SECONDS
@@ -205,8 +222,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown grouping {self.grouping!r}")
         if self.block_size < 1:
             raise ConfigError("block_size must be >= 1")
-        if not self.gap_seconds > 0:
-            raise ConfigError("gap_seconds must be positive")
+        _gap_ms(self.gap_seconds)
         if not self.linkage_threshold >= 0:
             raise ConfigError(f"linkage threshold must be >= 0, got {self.linkage_threshold!r}")
         unknown = [f for f in self.export_formats if f not in GRAPH_FORMATS]
@@ -247,39 +263,22 @@ def parse_log_files(
 
 # --- artifact writers / readers -------------------------------------------
 
-
-def _open_w(path: Path):
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _text_writer(fh: IO[str], texts: Iterable[str]):
-    """A csv writer for rows holding free text such as user hashes.
-
-    csv quotes a field only for the characters of its line terminator, so
-    with LF endings a bare CR would end the row when read back; a file with
-    any text holding CR quotes every text field instead.
-    """
-    quoting = csv.QUOTE_NONNUMERIC if any("\r" in t for t in texts) else csv.QUOTE_MINIMAL
-    return csv.writer(fh, lineterminator="\n", quoting=quoting)
-
-
-@contextmanager
-def _reading(path: Path, kind: str) -> Iterator[Iterator[list[str]]]:
-    """csv rows of an artifact file; text that is not UTF-8 or that csv cannot
-    split into rows (such as a field over csv's size limit) is an InputError."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield csv.reader(fh)
-    except UnicodeDecodeError:
-        raise InputError(f"bad {kind} file {path}: not UTF-8 text") from None
-    except csv.Error as exc:
-        raise InputError(f"bad {kind} file {path}: {exc}") from None
-
-
 _SESSION_COLS = ["session_id", "user_hash", "start_ms", "end_ms", "k_items"]
+_METRIC_COLS = [
+    "block_index", "q", "mean_n", "mean_k",
+    "n_min", "n_max", "k_min", "k_max", "alpha", "beta", "variety",
+]
+_CLASSIFICATION_COLS = ["block_index", "n_tendency", "k_tendency", "stability", "label", "mismatch_cost"]
+_ROUTE_COLS = ["owner", "steps", "span_start", "span_end"]
+_TRANSITION_COLS = ["from", "to", "count"]
+_COMMUNITY_COLS = ["community_id", "size", *(f"count_{label}" for label in _NODE_LABELS), "position"]
 # Rows per chunk that read_sessions_csv converts a column at a time and that
-# write_sessions_csv joins into one write.
-_SESSION_CHUNK = 256
+# _write_csv joins into one write.
+_CHUNK_ROWS = 256
+
+
+def _open_w(path: Path) -> IO[str]:
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _rendered_fields(dialect: csv.Dialect, texts: Iterable[str]) -> dict[str, str]:
@@ -299,19 +298,73 @@ def _rendered_fields(dialect: csv.Dialect, texts: Iterable[str]) -> dict[str, st
     return shown
 
 
-def write_sessions_csv(table: SessionTable, path: Path) -> None:
-    # csv renders each distinct user once; the int columns, which csv never
-    # quotes under either quoting, go into each row's f-string as they are.
-    distinct = set(table.user_hash)
-    users, starts, ends, ks = table.user_hash, table.start_ms, table.end_ms, table.k_items
+def _write_csv(
+    path: Path, header: Sequence[str], columns: Sequence[Sequence], text_cols: Sequence[int] = ()
+) -> None:
+    """Write an artifact: the header, then one row per position of the columns.
+
+    The columns at text_cols hold free text, such as user hashes; csv
+    renders each distinct text once, through the file's dialect. Every other
+    value goes into its row as str() renders it, so it must be a number or
+    text that csv never quotes (a float renders as its repr).
+
+    csv quotes a field only for the characters of its line terminator, so
+    with LF endings a bare CR would end the row when read back; a file with
+    any text holding CR is written under QUOTE_NONNUMERIC, which quotes the
+    header and every text field but no number.
+    """
+    texts = set().union(*(columns[i] for i in text_cols))
+    quoting = csv.QUOTE_NONNUMERIC if any("\r" in t for t in texts) else csv.QUOTE_MINIMAL
+    # One %-template per row, filled by map() without a bytecode loop per
+    # row; a per-row ",".join is a third slower.
+    row = ",".join(["%s"] * len(header)) + "\n"
     with _open_w(path) as fh:
-        w = _text_writer(fh, distinct)
-        w.writerow(_SESSION_COLS)
-        shown = _rendered_fields(w.dialect, distinct)
-        for lo in range(0, len(users), _SESSION_CHUNK):
-            hi = lo + _SESSION_CHUNK
-            rows = zip(range(lo, hi), users[lo:hi], starts[lo:hi], ends[lo:hi], ks[lo:hi])
-            fh.write("".join([f"{i},{shown[u]},{s},{e},{k}\n" for i, u, s, e, k in rows]))
+        w = csv.writer(fh, lineterminator="\n", quoting=quoting)
+        w.writerow(header)
+        shown = _rendered_fields(w.dialect, texts).__getitem__
+        rows = zip(*(map(shown, c) if i in text_cols else c for i, c in enumerate(columns)))
+        while chunk := "".join(map(row.__mod__, islice(rows, _CHUNK_ROWS))):
+            fh.write(chunk)
+
+
+def _row_error(path: Path, kind: str, row: list[str]) -> InputError:
+    return InputError(f"bad {kind} file {path}: row {row!r}")
+
+
+@contextmanager
+def _reading(path: Path, kind: str, header: list[str]) -> Iterator[Iterator[list[str]]]:
+    """The csv rows of an artifact file after its header, which must be header.
+
+    Text that is not UTF-8 or that csv cannot split into rows (such as a
+    field over csv's size limit) is an InputError, and so is a row that the
+    caller fails to convert (an IndexError, ValueError or KeyError).
+    """
+    row: list[str] | None = None
+
+    def rows(reader: Iterator[list[str]]) -> Iterator[list[str]]:
+        nonlocal row
+        for row in reader:
+            yield row
+
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != header:
+                raise InputError(f"bad {kind} file {path}: unexpected header")
+            yield rows(reader)
+    except UnicodeDecodeError:
+        raise InputError(f"bad {kind} file {path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise InputError(f"bad {kind} file {path}: {exc}") from None
+    except (IndexError, ValueError, KeyError):
+        if row is None:
+            raise
+        raise _row_error(path, kind, row) from None
+
+
+def write_sessions_csv(table: SessionTable, path: Path) -> None:
+    columns = [range(len(table)), table.user_hash, table.start_ms, table.end_ms, table.k_items]
+    _write_csv(path, _SESSION_COLS, columns, text_cols=(1,))
 
 
 def read_sessions_csv(path: Path) -> SessionTable:
@@ -322,14 +375,12 @@ def read_sessions_csv(path: Path) -> SessionTable:
     # One str object per distinct user, however many sessions name it.
     seen: dict[str, str] = {}
     intern = seen.setdefault
-    with _reading(path, "sessions") as reader:
-        if next(reader, None) != _SESSION_COLS:
-            raise InputError(f"bad sessions file {path}: unexpected header")
+    with _reading(path, "sessions", _SESSION_COLS) as rows:
         # map() over a column converts without a bytecode loop per row, which
         # pays for filling the array('q') columns. A chunk failing any check
         # is scanned again row by row, so that the error names its first
         # faulty row, as a row-at-a-time reader would.
-        for chunk in iter(lambda: list(islice(reader, _SESSION_CHUNK)), []):
+        for chunk in iter(lambda: list(islice(rows, _CHUNK_ROWS)), []):
             first = len(ks)
             # One tuple per column, as long as the chunk; a short row leaves
             # fewer columns.
@@ -359,7 +410,7 @@ def _raise_first_bad_session_row(path: Path, rows: list[list[str]], first: int) 
             session_id = int(row[0])
             start, end, k = int(row[2]), int(row[3]), int(row[4])
         except (IndexError, ValueError):
-            raise InputError(f"bad sessions file {path}: row {row!r}") from None
+            raise _row_error(path, "sessions", row) from None
         if k < 1:
             raise InputError(f"bad sessions file {path}: k_items < 1 in row {row!r}")
         if session_id != i:
@@ -375,128 +426,82 @@ def _raise_first_bad_session_row(path: Path, rows: list[list[str]], first: int) 
     raise AssertionError("a chunk of sessions failed a check that none of its rows fails")
 
 
-_METRIC_COLS = [
-    "block_index", "q", "mean_n", "mean_k",
-    "n_min", "n_max", "k_min", "k_max", "alpha", "beta", "variety",
-]
-
-
-def _opt(x: float | None) -> str:
-    return "" if x is None else repr(x)
+def _opt(x: float | None) -> float | str:
+    return "" if x is None else x
 
 
 def write_metrics_csv(metrics: Sequence[BlockMetrics], path: Path) -> None:
-    with _open_w(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_METRIC_COLS)
-        for m in metrics:
-            w.writerow(
-                [
-                    m.block_index, m.q, repr(m.mean_n), repr(m.mean_k),
-                    m.n_min, m.n_max, m.k_min, m.k_max,
-                    _opt(m.alpha), _opt(m.beta), _opt(m.variety),
-                ]
-            )
+    # The header names the BlockMetrics fields; alpha, beta and variety are
+    # None for the first block.
+    columns = [[getattr(m, name) for m in metrics] for name in _METRIC_COLS]
+    columns[8:] = [list(map(_opt, c)) for c in columns[8:]]
+    _write_csv(path, _METRIC_COLS, columns)
 
 
 def write_metrics_jsonl(metrics: Sequence[BlockMetrics], path: Path) -> None:
     with _open_w(path) as fh:
-        for m in metrics:
-            fh.write(
-                json.dumps(
-                    {
-                        "block_index": m.block_index, "q": m.q,
-                        "mean_n": m.mean_n, "mean_k": m.mean_k,
-                        "n_min": m.n_min, "n_max": m.n_max,
-                        "k_min": m.k_min, "k_max": m.k_max,
-                        "alpha": m.alpha, "beta": m.beta, "variety": m.variety,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        fh.writelines(json.dumps(asdict(m), sort_keys=True) + "\n" for m in metrics)
 
 
 def read_metrics_csv(path: Path) -> list[BlockMetrics]:
-    out: list[BlockMetrics] = []
-    with _reading(path, "metrics") as reader:
-        header = next(reader, None)
-        if header != _METRIC_COLS:
-            raise InputError(f"bad metrics file {path}: unexpected header")
-        for row in reader:
-            try:
-                out.append(
-                    BlockMetrics(
-                        block_index=int(row[0]), q=int(row[1]),
-                        mean_n=float(row[2]), mean_k=float(row[3]),
-                        n_min=int(row[4]), n_max=int(row[5]),
-                        k_min=int(row[6]), k_max=int(row[7]),
-                        alpha=float(row[8]) if row[8] else None,
-                        beta=float(row[9]) if row[9] else None,
-                        variety=float(row[10]) if row[10] else None,
-                    )
-                )
-            except (IndexError, ValueError):
-                raise InputError(f"bad metrics file {path}: row {row!r}") from None
-    return out
-
-
-_CLASSIFICATION_COLS = ["block_index", "n_tendency", "k_tendency", "stability", "label", "mismatch_cost"]
+    with _reading(path, "metrics", _METRIC_COLS) as rows:
+        return [
+            BlockMetrics(
+                block_index=int(row[0]), q=int(row[1]),
+                mean_n=float(row[2]), mean_k=float(row[3]),
+                n_min=int(row[4]), n_max=int(row[5]),
+                k_min=int(row[6]), k_max=int(row[7]),
+                alpha=float(row[8]) if row[8] else None,
+                beta=float(row[9]) if row[9] else None,
+                variety=float(row[10]) if row[10] else None,
+            )
+            for row in rows
+        ]
 
 
 def write_classifications_csv(cls: Sequence[BlockClassification], path: Path) -> None:
-    with _open_w(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_CLASSIFICATION_COLS)
-        for c in cls:
-            w.writerow(
-                [
-                    c.block_index,
-                    c.raw.n_tend.value, c.raw.k_tend.value, c.raw.stab.value,
-                    c.node.label, repr(c.cost),
-                ]
-            )
+    columns = [
+        [c.block_index for c in cls],
+        [c.raw.n_tend.value for c in cls],
+        [c.raw.k_tend.value for c in cls],
+        [c.raw.stab.value for c in cls],
+        [c.node.label for c in cls],
+        [c.cost for c in cls],
+    ]
+    _write_csv(path, _CLASSIFICATION_COLS, columns)
 
 
 def read_classifications_csv(path: Path) -> list[BlockClassification]:
-    out: list[BlockClassification] = []
-    with _reading(path, "classifications") as reader:
-        header = next(reader, None)
-        if header != _CLASSIFICATION_COLS:
-            raise InputError(f"bad classifications file {path}: unexpected header")
-        for row in reader:
-            try:
-                raw = Triplet(Tendency(row[1]), Tendency(row[2]), Stability(row[3]))
-                out.append(
-                    BlockClassification(int(row[0]), raw, NODE_BY_LABEL[row[4]], float(row[5]))
-                )
-            except (IndexError, ValueError, KeyError):
-                raise InputError(f"bad classifications file {path}: row {row!r}") from None
-    return out
+    with _reading(path, "classifications", _CLASSIFICATION_COLS) as rows:
+        return [
+            BlockClassification(
+                int(row[0]),
+                Triplet(Tendency(row[1]), Tendency(row[2]), Stability(row[3])),
+                NODE_BY_LABEL[row[4]],
+                float(row[5]),
+            )
+            for row in rows
+        ]
 
 
 def write_routes_csv(routes: Sequence[SearchRoute], path: Path) -> None:
-    with _open_w(path) as fh:
-        w = _text_writer(fh, [r.owner for r in routes])
-        w.writerow(["owner", "steps", "span_start", "span_end"])
-        for r in routes:
-            w.writerow([r.owner, ",".join(r.steps), r.span[0], r.span[1]])
+    columns = [
+        [r.owner for r in routes],
+        [",".join(r.steps) for r in routes],
+        [r.span[0] for r in routes],
+        [r.span[1] for r in routes],
+    ]
+    _write_csv(path, _ROUTE_COLS, columns, text_cols=(0, 1))
 
 
 def read_routes_csv(path: Path) -> list[SearchRoute]:
     out: list[SearchRoute] = []
     owners: set[str] = set()
-    with _reading(path, "routes") as reader:
-        header = next(reader, None)
-        if header != ["owner", "steps", "span_start", "span_end"]:
-            raise InputError(f"bad routes file {path}: unexpected header")
-        for row in reader:
-            try:
-                steps = tuple(row[1].split(","))
-                out.append(SearchRoute(row[0], steps, (int(row[2]), int(row[3]))))
-            except (IndexError, ValueError):
-                raise InputError(f"bad routes file {path}: row {row!r}") from None
-            if not steps or any(s not in NODE_BY_LABEL for s in steps):
+    with _reading(path, "routes", _ROUTE_COLS) as rows:
+        for row in rows:
+            steps = tuple(row[1].split(","))
+            out.append(SearchRoute(row[0], steps, (int(row[2]), int(row[3]))))
+            if any(s not in NODE_BY_LABEL for s in steps):
                 raise InputError(f"bad routes file {path}: steps {row[1]!r}")
             if row[0] in owners:
                 raise InputError(f"bad routes file {path}: duplicate owner {row[0]!r}")
@@ -505,61 +510,37 @@ def read_routes_csv(path: Path) -> list[SearchRoute]:
 
 
 def write_transitions_csv(tg: TransitionGraph, path: Path) -> None:
-    with _open_w(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["from", "to", "count"])
-        for (x, y), n in sorted(tg.counts.items()):
-            w.writerow([x, y, n])
+    edges = [(x, y, n) for (x, y), n in sorted(tg.counts.items())]
+    _write_csv(path, _TRANSITION_COLS, [[e[i] for e in edges] for i in range(3)])
 
 
 def read_transitions_csv(path: Path) -> TransitionGraph:
-    counts: dict[tuple[str, str], int] = {}
-    with _reading(path, "transitions") as reader:
-        header = next(reader, None)
-        if header != ["from", "to", "count"]:
-            raise InputError(f"bad transitions file {path}: unexpected header")
-        for row in reader:
-            try:
-                counts[(row[0], row[1])] = int(row[2])
-            except (IndexError, ValueError):
-                raise InputError(f"bad transitions file {path}: row {row!r}") from None
-    return TransitionGraph(counts)
+    with _reading(path, "transitions", _TRANSITION_COLS) as rows:
+        return TransitionGraph({(row[0], row[1]): int(row[2]) for row in rows})
 
 
 def write_communities_csv(
     communities: Sequence[CognitiveCommunity], path: Path
 ) -> None:
-    with _open_w(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["community_id", "size"]
-            + [f"count_{label}" for label in _NODE_LABELS]
-            + ["position"]
-        )
-        for c in communities:
-            pos = position_community(c)
-            w.writerow(
-                [c.community_id, c.size]
-                + [c.label_counts[label] for label in _NODE_LABELS]
-                + [pos.label]
-            )
+    columns = [
+        [c.community_id for c in communities],
+        [c.size for c in communities],
+        *([c.label_counts[label] for c in communities] for label in _NODE_LABELS),
+        [position_community(c).label for c in communities],
+    ]
+    _write_csv(path, _COMMUNITY_COLS, columns)
 
 
 def read_communities_count(path: Path) -> int:
-    with _reading(path, "communities") as reader:
-        header = next(reader, None)
-        if not header or header[0] != "community_id":
-            raise InputError(f"bad communities file {path}: unexpected header")
-        return sum(1 for _ in reader)
+    with _reading(path, "communities", _COMMUNITY_COLS) as rows:
+        return sum(1 for _ in rows)
 
 
 # --- stages -----------------------------------------------------------------
 
 
 def metrics_from_summaries(sessions: SessionTable, block_size: int) -> list[BlockMetrics]:
-    blocks = partition_blocks(sessions.k_items, block_size)
-    means = [compute_block_means(compute_histogram(b), b) for b in blocks]
-    return compute_variety_series(means)
+    return compute_variety_series(block_means(sessions.k_items, block_size))
 
 
 def classify_series(
@@ -647,6 +628,78 @@ def build_report(
     }
 
 
+# One function per stage, shared by run_pipeline and the stage commands: each
+# computes its stage from the results of earlier ones and writes its
+# artifacts to path(key), for key in ARTIFACT_FILES or GRAPH_FILES.
+PathOf = Callable[[str], Path]
+
+
+def run_ingest(
+    cfg: PipelineConfig, path: PathOf, diagnostics: IO[str] | None = None
+) -> tuple[SessionTable, int, int, int]:
+    """Parse, filter and sessionize cfg.inputs; returns (sessions, parsed,
+    kept, malformed). An input that yields no sessions is an InputError."""
+    events, parsed, malformed = parse_log_files(cfg.inputs, cfg.log_format, diagnostics)
+    kept_events = filter_events(events, cfg.filter_rules)
+    kept = len(kept_events)
+    del events
+    sessions = sessionize_summaries(kept_events, cfg.gap_seconds, cfg.count_policy)
+    del kept_events
+    if not sessions:
+        raise InputError("no sessions")
+    write_sessions_csv(sessions, path("sessions"))
+    return sessions, parsed, kept, malformed
+
+
+def run_metrics(sessions: SessionTable, cfg: PipelineConfig, path: PathOf) -> list[BlockMetrics]:
+    metrics = metrics_from_summaries(sessions, cfg.block_size)
+    write_metrics_csv(metrics, path("metrics"))
+    write_metrics_jsonl(metrics, path("metrics_records"))
+    return metrics
+
+
+def run_classify(
+    metrics: Sequence[BlockMetrics], cfg: PipelineConfig, path: PathOf
+) -> list[BlockClassification]:
+    classifications = classify_series(metrics, cfg.classifier)
+    write_classifications_csv(classifications, path("classifications"))
+    return classifications
+
+
+def run_routes(
+    classifications: Sequence[BlockClassification],
+    sessions: SessionTable,
+    cfg: PipelineConfig,
+    path: PathOf,
+) -> tuple[list[SearchRoute], TransitionGraph]:
+    routes, transitions = routes_from_classifications(
+        classifications, sessions, cfg.block_size, cfg.grouping
+    )
+    write_routes_csv(routes, path("routes"))
+    write_transitions_csv(transitions, path("transitions"))
+    return routes, transitions
+
+
+def run_communities(
+    routes: Sequence[SearchRoute], cfg: PipelineConfig, path: PathOf
+) -> list[CognitiveCommunity]:
+    communities = detect_communities(routes, cfg.linkage_threshold)
+    write_communities_csv(communities, path("communities"))
+    return communities
+
+
+def run_graph(transitions: TransitionGraph | None, cfg: PipelineConfig, path: PathOf) -> list[Path]:
+    """Export the compass graph in each of cfg.export_formats, its edges
+    weighted by transitions unless that is None; returns the files written."""
+    graph = build_base_graph(None if transitions is None else transition_edge_weights(transitions))
+    written = []
+    for fmt in cfg.export_formats:
+        written.append(path(fmt))
+        with _open_w(written[-1]) as fh:
+            fh.write(export_graph(graph, fmt))
+    return written
+
+
 def run_pipeline(cfg: PipelineConfig, diagnostics: IO[str] | None = None) -> dict:
     """Run every stage, writing artifacts under cfg.out_dir; returns the report.
 
@@ -658,63 +711,36 @@ def run_pipeline(cfg: PipelineConfig, diagnostics: IO[str] | None = None) -> dic
     written: list[Path] = []
     stage = "ingest"
 
-    def target(name: str) -> Path:
-        p = out / name
+    def target(key: str) -> Path:
+        p = artifact_path(out, key)
         written.append(p)
         return p
 
     try:
-        events, parsed, malformed = parse_log_files(cfg.inputs, cfg.log_format, diagnostics)
-        kept_events = filter_events(events, cfg.filter_rules)
-        kept = len(kept_events)
-        del events
-        summaries = sessionize_summaries(kept_events, cfg.gap_seconds, cfg.count_policy)
-        del kept_events
-        if not summaries:
-            raise InputError("no sessions")
-        write_sessions_csv(summaries, target(ARTIFACT_FILES["sessions"]))
-
+        sessions, parsed, kept, malformed = run_ingest(cfg, target, diagnostics)
         stage = "metrics"
-        metrics = metrics_from_summaries(summaries, cfg.block_size)
-        write_metrics_csv(metrics, target(ARTIFACT_FILES["metrics"]))
-        write_metrics_jsonl(metrics, target(ARTIFACT_FILES["metrics_records"]))
-
+        metrics = run_metrics(sessions, cfg, target)
         stage = "classify"
-        classifications = classify_series(metrics, cfg.classifier)
-        write_classifications_csv(classifications, target(ARTIFACT_FILES["classifications"]))
-
+        classifications = run_classify(metrics, cfg, target)
         stage = "routes"
-        routes, transitions = routes_from_classifications(
-            classifications, summaries, cfg.block_size, cfg.grouping
-        )
-        write_routes_csv(routes, target(ARTIFACT_FILES["routes"]))
-        write_transitions_csv(transitions, target(ARTIFACT_FILES["transitions"]))
-
+        routes, transitions = run_routes(classifications, sessions, cfg, target)
         stage = "communities"
-        communities = detect_communities(routes, cfg.linkage_threshold)
-        write_communities_csv(communities, target(ARTIFACT_FILES["communities"]))
-
+        communities = run_communities(routes, cfg, target)
         stage = "graph"
-        graph = build_base_graph(
-            transition_edge_weights(transitions) if cfg.weight_edges_from_transitions else None
-        )
-        for fmt in cfg.export_formats:
-            with _open_w(target(GRAPH_FILES[fmt])) as fh:
-                fh.write(export_graph(graph, fmt))
-
+        run_graph(transitions if cfg.weight_edges_from_transitions else None, cfg, target)
         stage = "report"
         report = build_report(
             parsed=parsed,
             kept=kept,
             malformed=malformed,
-            summaries_total=len(summaries),
+            summaries_total=len(sessions),
             metrics=metrics,
             classifications=classifications,
             block_size=cfg.block_size,
             route_count=len(routes),
             community_count=len(communities),
         )
-        with _open_w(target(ARTIFACT_FILES["report"])) as fh:
+        with _open_w(target("report")) as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
         return report
@@ -730,20 +756,14 @@ def run_pipeline(cfg: PipelineConfig, diagnostics: IO[str] | None = None) -> dic
 
 def report_stats(artifacts_dir: Path | str) -> str:
     """Human-readable summary recomputed from saved artifacts."""
-    art = Path(artifacts_dir)
-    needed = {
-        "metrics": ARTIFACT_FILES["metrics"],
-        "classifications": ARTIFACT_FILES["classifications"],
-        "routes": ARTIFACT_FILES["routes"],
-        "communities": ARTIFACT_FILES["communities"],
-    }
-    for name, filename in needed.items():
-        if not (art / filename).exists():
-            raise InputError(f"missing: {name}")
-    metrics = read_metrics_csv(art / needed["metrics"])
-    classifications = read_classifications_csv(art / needed["classifications"])
-    route_count = len(read_routes_csv(art / needed["routes"]))
-    community_count = read_communities_count(art / needed["communities"])
+    path = {key: artifact_path(artifacts_dir, key) for key in ARTIFACT_FILES}
+    for key in ("metrics", "classifications", "routes", "communities"):
+        if not path[key].exists():
+            raise InputError(f"missing: {key}")
+    metrics = read_metrics_csv(path["metrics"])
+    classifications = read_classifications_csv(path["classifications"])
+    route_count = len(read_routes_csv(path["routes"]))
+    community_count = read_communities_count(path["communities"])
 
     types, classified, dominant = _type_tally(metrics, classifications)
     # One q per block index, as the tally counts it.

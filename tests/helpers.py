@@ -8,10 +8,13 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
+from logcompass.blocks import BlockMetrics
 from logcompass.errors import ConfigError, InputError
 from logcompass.events import COUNT_POLICIES, DEFAULT_GAP_SECONDS, EventTable, LogEvent
+from logcompass.routes import position_community
+from logcompass.taxonomy import NODE_BY_LABEL
 
 
 def make_events(spec):
@@ -97,6 +100,146 @@ def oracle_write_sessions_csv(table, path: Path) -> None:
         w.writerows(
             zip(range(len(table)), table.user_hash, table.start_ms, table.end_ms, table.k_items)
         )
+
+
+# --- the block chain that blocks.block_means replaced -----------------------------
+
+
+@dataclass(frozen=True)
+class Block:
+    """k_items[j] is the item count K of the block's j-th session."""
+
+    block_index: int
+    k_items: tuple[int, ...]
+    search_volume: int
+
+
+@dataclass(frozen=True)
+class UsageHistogram:
+    """entries[k] = number of sessions in the block that read exactly k items."""
+
+    entries: dict[int, int]
+
+
+def partition_blocks(k_items: Sequence[int], block_size: int) -> list[Block]:
+    """Cut the K values of sessions (already in global order) into consecutive
+    runs of block_size.
+
+    The final block may be smaller; its search_volume says so. An empty
+    sequence yields an empty block list.
+    """
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
+    blocks: list[Block] = []
+    for i in range(0, len(k_items), block_size):
+        chunk = tuple(k_items[i : i + block_size])
+        blocks.append(Block(len(blocks), chunk, len(chunk)))
+    return blocks
+
+
+def compute_histogram(block: Block) -> UsageHistogram:
+    """Count sessions per intensity value; entry counts sum to the block volume."""
+    if not block.k_items:
+        raise ValueError("empty block")
+    entries: dict[int, int] = {}
+    for k in block.k_items:
+        if k < 1:
+            raise ValueError(f"k_items must be >= 1, got {k}")
+        entries[k] = entries.get(k, 0) + 1
+    return UsageHistogram(dict(sorted(entries.items())))
+
+
+def compute_block_means(histogram: UsageHistogram, block: Block) -> BlockMetrics:
+    """Reduce a block histogram to means and extremes (variety left unset).
+
+    mean_k is the per-session mean item count; mean_n averages the reader
+    counts over the distinct observed K values.
+    """
+    entries = histogram.entries
+    if not entries:
+        raise ValueError("empty histogram")
+    q = sum(entries.values())
+    if q != block.search_volume:
+        raise ValueError(
+            f"histogram mass {q} does not match block volume {block.search_volume}"
+        )
+    return BlockMetrics(
+        block_index=block.block_index,
+        q=q,
+        mean_n=q / len(entries),
+        mean_k=sum(k * n for k, n in entries.items()) / q,
+        n_min=min(entries.values()),
+        n_max=max(entries.values()),
+        k_min=min(entries),
+        k_max=max(entries),
+    )
+
+
+# --- the csv.writer artifact writers that pipeline._write_csv replaced ------------
+
+
+def _oracle_opt(x):
+    return "" if x is None else repr(x)
+
+
+def oracle_write_metrics_csv(metrics, path: Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow([
+            "block_index", "q", "mean_n", "mean_k",
+            "n_min", "n_max", "k_min", "k_max", "alpha", "beta", "variety",
+        ])
+        for m in metrics:
+            w.writerow(
+                [
+                    m.block_index, m.q, repr(m.mean_n), repr(m.mean_k),
+                    m.n_min, m.n_max, m.k_min, m.k_max,
+                    _oracle_opt(m.alpha), _oracle_opt(m.beta), _oracle_opt(m.variety),
+                ]
+            )
+
+
+def oracle_write_classifications_csv(cls, path: Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["block_index", "n_tendency", "k_tendency", "stability", "label", "mismatch_cost"])
+        for c in cls:
+            w.writerow(
+                [
+                    c.block_index,
+                    c.raw.n_tend.value, c.raw.k_tend.value, c.raw.stab.value,
+                    c.node.label, repr(c.cost),
+                ]
+            )
+
+
+def oracle_write_routes_csv(routes, path: Path) -> None:
+    """A file with any owner holding CR quotes every text field
+    (QUOTE_NONNUMERIC), header included."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        quoting = csv.QUOTE_NONNUMERIC if any("\r" in r.owner for r in routes) else csv.QUOTE_MINIMAL
+        w = csv.writer(fh, lineterminator="\n", quoting=quoting)
+        w.writerow(["owner", "steps", "span_start", "span_end"])
+        for r in routes:
+            w.writerow([r.owner, ",".join(r.steps), r.span[0], r.span[1]])
+
+
+def oracle_write_transitions_csv(tg, path: Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["from", "to", "count"])
+        for (x, y), n in sorted(tg.counts.items()):
+            w.writerow([x, y, n])
+
+
+def oracle_write_communities_csv(communities, path: Path) -> None:
+    labels = sorted(NODE_BY_LABEL)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["community_id", "size"] + [f"count_{label}" for label in labels] + ["position"])
+        for c in communities:
+            pos = position_community(c)
+            w.writerow([c.community_id, c.size] + [c.label_counts[label] for label in labels] + [pos.label])
 
 
 # --- the LogEvent sessionizer that sessionize_summaries replaced ------------------

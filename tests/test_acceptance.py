@@ -13,12 +13,8 @@ from itertools import combinations, product
 
 import pytest
 
-from logcompass.blocks import (
-    compute_block_means,
-    compute_histogram,
-    compute_variety_series,
-    partition_blocks,
-)
+from helpers import compute_block_means, compute_histogram, partition_blocks
+from logcompass.blocks import compute_variety_series
 from logcompass.compass import build_base_graph, betweenness, minimum_spanning_tree, assortativity, neighbors, shortest_distance, derive_edges
 from logcompass.events import parse_events
 from logcompass.graphio import parse_canonical, to_canonical

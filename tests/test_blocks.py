@@ -1,17 +1,12 @@
 import math
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
 
-from logcompass.blocks import (
-    Block,
-    BlockMetrics,
-    compute_block_means,
-    compute_histogram,
-    compute_variety_series,
-    metric_bounds,
-    partition_blocks,
-)
+from helpers import Block, compute_block_means, compute_histogram, partition_blocks
+from logcompass.blocks import BlockMetrics, block_means, compute_variety_series, metric_bounds
+from logcompass.pipeline import SessionTable, metrics_from_summaries
 
 
 def block_of(ks, index=0):
@@ -49,6 +44,12 @@ def test_partition_contiguity():
 def test_partition_rejects_bad_size():
     with pytest.raises(ValueError):
         partition_blocks([], 0)
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_block_means_rejects_bad_size(size):
+    with pytest.raises(ValueError, match="block_size must be >= 1"):
+        block_means([1, 2], size)
 
 
 @pytest.mark.parametrize("n", range(0, 23))
@@ -193,3 +194,15 @@ def test_metric_bounds():
     assert k_hi == max(m.mean_k for m in series)
     with pytest.raises(ValueError):
         metric_bounds([])
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=60), max_size=120),
+    st.integers(min_value=1, max_value=40),
+)
+def test_block_means_equal_the_oracle_chain(ks, size):
+    blocks = partition_blocks(ks, size)
+    want = [compute_block_means(compute_histogram(b), b) for b in blocks]
+    assert block_means(ks, size) == want
+    table = SessionTable(["u"] * len(ks), array("q", range(len(ks))), array("q", range(len(ks))), ks)
+    assert metrics_from_summaries(table, size) == compute_variety_series(want)

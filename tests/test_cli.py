@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logcompass.cli import main
 from logcompass.pipeline import ARTIFACT_FILES, GRAPH_FILES
@@ -325,3 +329,127 @@ def test_sessions_time_outside_int64_exits_2(tmp_path, capsys):
     )
     assert main(["metrics", "--sessions", str(sessions), "--out-dir", str(tmp_path / "m")]) == 2
     assert "start_ms or end_ms outside the signed 64-bit range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [
+    # each once exited 3, or 0 with an empty routes.csv, where run exits 1
+    ["metrics", "--block-size", "0"],
+    ["routes", "--block-size", "0", "--grouping", "user"],
+    ["routes", "--block-size", "-3", "--grouping", "user"],
+])
+def test_stage_commands_refuse_what_run_refuses(tmp_path, capsys, cmd):
+    log = tmp_path / "log.csv"
+    assert main(["synth", "--out", str(log), "--seed", "3",
+                 "--sessions-per-block", "10", "--blocks", "3"]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(log), "--block-size", "10", "--out", str(out)]) == 0
+    capsys.readouterr()
+    inputs = {
+        "metrics": ["--sessions", str(out / "sessions.csv")],
+        "routes": ["--classifications", str(out / "classifications.csv"),
+                   "--sessions", str(out / "sessions.csv")],
+    }[cmd[0]]
+    stage = tmp_path / "stage"
+    assert main(cmd + inputs + ["--out-dir", str(stage)]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: block_size must be >= 1\n"
+    assert not stage.exists()
+    assert main(["run", "--input", str(log), "--block-size", cmd[2], "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("value", ["inf", "1e308"])
+@pytest.mark.parametrize("cmd", [["run", "--out"], ["ingest", "--out"]])
+def test_infinite_gap_is_config_error(tmp_path, capsys, cmd, value):
+    # Both once exited 3: "cannot convert float infinity to integer".
+    log = tmp_path / "log.csv"
+    log.write_text("2021-03-01T00:00:00Z,u1,a1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([cmd[0], "--input", str(log), "--gap-seconds", value, cmd[1], str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: gap_seconds must be finite in milliseconds, got {float(value)!r}\n"
+    )
+    assert not out.exists()
+
+
+def test_flag_defaults_are_the_config_defaults():
+    from logcompass.cli import _config, build_parser
+    from logcompass.pipeline import PipelineConfig
+
+    parser = build_parser()
+    for argv in (["run", "--input", "x", "--out", "."], ["ingest", "--input", "x", "--out", "s"],
+                 ["metrics", "--sessions", "s", "--out-dir", "."],
+                 ["classify", "--metrics", "m", "--out", "c"],
+                 ["routes", "--classifications", "c", "--sessions", "s", "--out-dir", "."],
+                 ["communities", "--routes", "r", "--out", "c"], ["graph", "--out-dir", "."]):
+        cfg = _config(parser.parse_args(argv))
+        assert cfg == PipelineConfig(inputs=cfg.inputs, out_dir=cfg.out_dir), argv
+
+
+def test_each_flag_sets_its_config_field(tmp_path):
+    from logcompass.cli import _config, build_parser
+    from logcompass.events import FilterRules
+    from logcompass.pipeline import PipelineConfig
+    from logcompass.taxonomy import ClassifierConfig
+
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"agent_deny_patterns": ["bot"]}), encoding="utf-8")
+    argv = ["run", "--input", "a.log", "--input", "b.log", "--format", "b", "--gap-seconds", "60",
+            "--count-policy", "raw", "--filters", str(rules), "--block-size", "7", "--z", "0.3",
+            "--epsilon", "0.4", "--grouping", "user", "--linkage", "2.5", "--out", "o",
+            "--export", "dot", "--weight-from-transitions"]
+    assert _config(build_parser().parse_args(argv)) == PipelineConfig(
+        inputs=(Path("a.log"), Path("b.log")), out_dir=Path("o"), log_format="b",
+        filter_rules=FilterRules(("bot",)), gap_seconds=60.0, count_policy="raw", block_size=7,
+        classifier=ClassifierConfig(z=0.3, epsilon=0.4), grouping="user",
+        linkage_threshold=2.5, export_formats=("dot",), weight_edges_from_transitions=True,
+    )
+
+
+_SETTINGS = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**16),
+    "per_block": st.integers(3, 12),
+    "blocks": st.integers(1, 5),
+    "k_dist": st.sampled_from(["mostly-one", "heavy-tail", "uniform-range(1,6)"]),
+    "block_size": st.integers(1, 15),
+    "grouping": st.sampled_from(["stream", "user"]),
+    "linkage": st.sampled_from(["0", "1.5", "3", "inf"]),
+    "z": st.sampled_from(["0.1", "0.25", "0.5", "0.75"]),
+    "epsilon": st.sampled_from(["0.05", "0.25", "1.0"]),
+    "count_policy": st.sampled_from(["distinct", "raw"]),
+    "weighted": st.booleans(),
+})
+
+
+@settings(max_examples=25, deadline=None)
+@given(_SETTINGS)
+def test_stage_by_stage_equals_run(tmp_path_factory, s):
+    base = tmp_path_factory.mktemp("chain")
+    log, run_out, stage = base / "log.csv", base / "run", base / "stage"
+    stage.mkdir()
+    quiet = io.StringIO()
+    with redirect_stdout(quiet):
+        assert main(["synth", "--out", str(log), "--seed", str(s["seed"]), "--users", "6",
+                     "--sessions-per-block", str(s["per_block"]), "--blocks", str(s["blocks"]),
+                     "--k-dist", s["k_dist"]]) == 0
+        bs = ["--block-size", str(s["block_size"])]
+        assert main(["run", "--input", str(log), "--count-policy", s["count_policy"], *bs,
+                     "--z", s["z"], "--epsilon", s["epsilon"], "--grouping", s["grouping"],
+                     "--linkage", s["linkage"], "--out", str(run_out)]
+                    + (["--weight-from-transitions"] if s["weighted"] else [])) == 0
+        art = {k: str(stage / v) for k, v in ARTIFACT_FILES.items()}
+        assert main(["ingest", "--input", str(log), "--count-policy", s["count_policy"],
+                     "--out", art["sessions"]]) == 0
+        assert main(["metrics", "--sessions", art["sessions"], *bs, "--out-dir", str(stage)]) == 0
+        assert main(["classify", "--metrics", art["metrics"], "--z", s["z"],
+                     "--epsilon", s["epsilon"], "--out", art["classifications"]]) == 0
+        assert main(["routes", "--classifications", art["classifications"], "--sessions",
+                     art["sessions"], *bs, "--grouping", s["grouping"], "--out-dir", str(stage)]) == 0
+        assert main(["communities", "--routes", art["routes"], "--linkage", s["linkage"],
+                     "--out", art["communities"]]) == 0
+        assert main(["graph", "--out-dir", str(stage)]
+                    + (["--transitions", art["transitions"]] if s["weighted"] else [])) == 0
+    run_files = sorted(p.name for p in run_out.iterdir() if p.name != ARTIFACT_FILES["report"])
+    assert sorted(p.name for p in stage.iterdir()) == run_files
+    for name in run_files:
+        assert (stage / name).read_bytes() == (run_out / name).read_bytes(), name

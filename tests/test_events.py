@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -189,6 +190,8 @@ def test_sessionize_rejects_bad_gap():
         sessionize([], 0)
     with pytest.raises(ConfigError, match="gap_seconds must be positive"):
         sessionize_summaries(EventTable(array("q"), [], [], []), 0)
+    with pytest.raises(ConfigError, match="gap_seconds must be finite in milliseconds, got inf"):
+        sessionize_summaries(EventTable(array("q"), [], [], []), math.inf)
 
 
 def test_sessionize_unknown_policy():

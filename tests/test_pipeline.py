@@ -18,12 +18,18 @@ from helpers import (
     event_table,
     make_events,
     oracle_read_sessions_csv,
+    oracle_write_classifications_csv,
+    oracle_write_communities_csv,
+    oracle_write_metrics_csv,
+    oracle_write_routes_csv,
     oracle_write_sessions_csv,
+    oracle_write_transitions_csv,
     sessionize,
     table_events,
     table_rows,
 )
 from logcompass import pipeline
+from logcompass.blocks import BlockMetrics
 from logcompass.errors import InputError
 from logcompass.events import EventTable, FilterRules, LogEvent
 from logcompass.pipeline import (
@@ -46,11 +52,21 @@ from logcompass.pipeline import (
     run_pipeline,
     sessionize_summaries,
     write_classifications_csv,
+    write_communities_csv,
     write_metrics_csv,
     write_routes_csv,
     write_sessions_csv,
+    write_transitions_csv,
 )
+from logcompass.routes import CognitiveCommunity, SearchRoute, TransitionGraph
 from logcompass.synth import EVENT_SPACING_S, SynthProfile, generate_sessions, write_log
+from logcompass.taxonomy import (
+    ADMISSIBLE_NODES,
+    BlockClassification,
+    Stability,
+    Tendency,
+    Triplet,
+)
 
 
 @pytest.fixture()
@@ -374,9 +390,9 @@ def _same_bytes_as_oracle(table, directory):
     return (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
 
 
-@given(_TABLES, st.sampled_from([1, 2, 3, pipeline._SESSION_CHUNK]))
+@given(_TABLES, st.sampled_from([1, 2, 3, pipeline._CHUNK_ROWS]))
 def test_write_sessions_matches_oracle_bytes(tmp_path_factory, table, chunk):
-    with mock.patch.object(pipeline, "_SESSION_CHUNK", chunk):
+    with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk):
         assert _same_bytes_as_oracle(table, tmp_path_factory.mktemp("wb"))
 
 
@@ -390,6 +406,94 @@ def test_write_sessions_bytes_for_special_users(tmp_path, user, others):
     table = SessionTable(users, array("q", range(n)), array("q", range(1, n + 1)), [1] * n)
     assert _same_bytes_as_oracle(table, tmp_path)
     assert read_sessions_csv(tmp_path / "got.csv") == table
+
+
+# --- every csv writer against the csv.writer body it replaced ----------------------
+
+_LABELS = st.sampled_from("abcdef")
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_METRICS = st.lists(st.builds(
+    BlockMetrics, st.integers(), st.integers(), _FLOATS, _FLOATS, st.integers(), st.integers(),
+    st.integers(), st.integers(), st.none() | _FLOATS, st.none() | _FLOATS, st.none() | _FLOATS,
+), max_size=6)
+_CLASSIFICATIONS = st.lists(st.builds(
+    BlockClassification,
+    st.integers(),
+    st.builds(Triplet, st.sampled_from(Tendency), st.sampled_from(Tendency), st.sampled_from(Stability)),
+    st.sampled_from(ADMISSIBLE_NODES),
+    _FLOATS,
+), max_size=6)
+_OWNERS = st.one_of(st.sampled_from(["", "\r", '"', ",", "a\rb", 'x"y,z', "u1"]), _USER_TEXT)
+_ROUTES = st.lists(st.builds(
+    SearchRoute, _OWNERS, st.lists(_LABELS, min_size=1, max_size=5).map(tuple),
+    st.tuples(st.integers(-5, 10**12), st.integers(-5, 10**12)),
+), max_size=6)
+_TRANSITIONS = st.dictionaries(st.tuples(_LABELS, _LABELS), st.integers(0, 10**9)).map(TransitionGraph)
+_COMMUNITIES = st.lists(st.builds(
+    lambda cid, members, counts, dominant: CognitiveCommunity(
+        cid, tuple(members), dict(zip("abcdef", counts)), dominant, len(members)),
+    st.integers(0, 10**6), st.lists(_USER_TEXT, min_size=1, max_size=3),
+    st.lists(st.integers(0, 10**6), min_size=6, max_size=6), _LABELS,
+), max_size=4)
+
+
+@pytest.mark.parametrize("write, oracle, items", [
+    (write_metrics_csv, oracle_write_metrics_csv, _METRICS),
+    (write_classifications_csv, oracle_write_classifications_csv, _CLASSIFICATIONS),
+    (write_routes_csv, oracle_write_routes_csv, _ROUTES),
+    (write_transitions_csv, oracle_write_transitions_csv, _TRANSITIONS),
+    (write_communities_csv, oracle_write_communities_csv, _COMMUNITIES),
+], ids=["metrics", "classifications", "routes", "transitions", "communities"])
+def test_writer_matches_oracle_bytes(tmp_path_factory, write, oracle, items):
+    @given(items)
+    def check(value):
+        directory = tmp_path_factory.mktemp("w")
+        write(value, directory / "got.csv")
+        oracle(value, directory / "want.csv")
+        assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+
+    check()
+
+
+@pytest.mark.parametrize("owners", [["a\rb", "u2", ""], ['"', ",", ""], ["\r"]])
+def test_routes_with_special_owners_round_trip(tmp_path, owners):
+    routes = [SearchRoute(o, ("a", "b"), (i, i + 1)) for i, o in enumerate(owners)]
+    write_routes_csv(routes, tmp_path / "got.csv")
+    oracle_write_routes_csv(routes, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert read_routes_csv(tmp_path / "got.csv") == routes
+
+
+def test_header_only_communities_file(tmp_path):
+    write_communities_csv([], tmp_path / "got.csv")
+    oracle_write_communities_csv([], tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert read_communities_count(tmp_path / "got.csv") == 0
+
+
+def test_communities_header_must_be_whole(tmp_path):
+    # The count once needed only a first header field of community_id.
+    path = tmp_path / "communities.csv"
+    path.write_text("community_id,size\n0,1\n", encoding="utf-8")
+    with pytest.raises(InputError, match="bad communities file .*: unexpected header"):
+        read_communities_count(path)
+
+
+@pytest.mark.parametrize("kind, read, text, row", [
+    ("metrics", read_metrics_csv,
+     "block_index,q,mean_n,mean_k,n_min,n_max,k_min,k_max,alpha,beta,variety\n0,1,x\n", ["0", "1", "x"]),
+    ("classifications", read_classifications_csv,
+     "block_index,n_tendency,k_tendency,stability,label,mismatch_cost\n1,min,min,stable,z,0.0\n",
+     ["1", "min", "min", "stable", "z", "0.0"]),
+    ("routes", read_routes_csv, "owner,steps,span_start,span_end\nu1,a\n", ["u1", "a"]),
+    ("transitions", read_transitions_csv, "from,to,count\na,b,many\n", ["a", "b", "many"]),
+])
+def test_unconvertible_row_names_the_row(tmp_path, kind, read, text, row):
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError) as got:
+        read(path)
+    assert str(got.value) == f"bad {kind} file {path}: row {row!r}"
 
 
 @pytest.mark.parametrize("start, end", [
@@ -446,7 +550,7 @@ def _corrupt(row: list[str], fault) -> list[str]:
     st.lists(st.tuples(st.integers(0, 9), _FAULTS), min_size=1, max_size=3),
     # Chunks smaller than the file put a fault and the rows before it in
     # different chunks.
-    st.sampled_from([1, 2, 3, pipeline._SESSION_CHUNK]),
+    st.sampled_from([1, 2, 3, pipeline._CHUNK_ROWS]),
 )
 def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, faults, chunk):
     lines = [["session_id", "user_hash", "start_ms", "end_ms", "k_items"]]
@@ -457,7 +561,7 @@ def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, f
     path = tmp_path_factory.mktemp("bad") / "sessions.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(lines)
-    with mock.patch.object(pipeline, "_SESSION_CHUNK", chunk):
+    with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk):
         try:
             want = oracle_read_sessions_csv(path)
         except InputError as exc:
@@ -489,7 +593,7 @@ def test_first_faulty_row_wins_across_chunks(tmp_path, chunk):
         encoding="utf-8",
     )
     row = ["1", "u1", str(2**63), "0", "1"]
-    with mock.patch.object(pipeline, "_SESSION_CHUNK", chunk):
+    with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk):
         with pytest.raises(InputError, match=re.escape(f"64-bit range in row {row!r}")):
             read_sessions_csv(path)
 
@@ -502,7 +606,8 @@ _ARTIFACT_READERS = {
     "classifications": (read_classifications_csv, "block_index,n_tendency,k_tendency,stability,label,mismatch_cost\n\xff\n"),
     "routes": (read_routes_csv, "owner,steps,span_start,span_end\nu\xff,a,1,1\n"),
     "transitions": (read_transitions_csv, "from,to,count\na,\xff,1\n"),
-    "communities": (read_communities_count, "community_id,size\n0,\xff\n"),
+    "communities": (read_communities_count,
+                    "community_id,size,count_a,count_b,count_c,count_d,count_e,count_f,position\n0,\xff\n"),
 }
 
 

@@ -121,7 +121,7 @@ def test_drift_k_fidelity_within_five_percent():
         drift_k=g,
         seed=77,
     )
-    from logcompass.blocks import compute_block_means, compute_histogram, partition_blocks
+    from helpers import compute_block_means, compute_histogram, partition_blocks
 
     k_items = [len(s.item_ids) for s in generate_sessions(profile)]
     blocks = partition_blocks(k_items, 2000)
