@@ -250,8 +250,8 @@ def _cmd_graph(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _config(args)
     with _diagnostics(args) as sink:
-        pipeline.run_pipeline(cfg, sink)
-    print(pipeline.report_stats(cfg.out_dir))
+        report = pipeline.run_pipeline(cfg, sink)
+    print(pipeline.stats_text(report))
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import gt
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
@@ -275,6 +275,10 @@ _COMMUNITY_COLS = ["community_id", "size", *(f"count_{label}" for label in _NODE
 # Rows per chunk that read_sessions_csv converts a column at a time and that
 # _write_csv joins into one write.
 _CHUNK_ROWS = 256
+# Characters that read_sessions_csv reads per segment, before carrying the
+# segment on to the end of its last line.
+_SEGMENT_CHARS = 8192
+_SESSIONS_HEADER_LINE = ",".join(_SESSION_COLS) + "\n"
 
 
 def _open_w(path: Path) -> IO[str]:
@@ -332,12 +336,33 @@ def _row_error(path: Path, kind: str, row: list[str]) -> InputError:
 
 
 @contextmanager
+def _opened(path: Path, kind: str) -> Iterator[IO[str]]:
+    """An artifact file opened as text. Text that is not UTF-8, or that csv
+    cannot split into rows (such as a field over csv's size limit), is an
+    InputError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise InputError(f"bad {kind} file {path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise InputError(f"bad {kind} file {path}: {exc}") from None
+
+
+def _csv_rows(lines: Iterable[str], path: Path, kind: str, header: list[str]) -> Iterator[list[str]]:
+    """The csv rows of an artifact's lines after its header, which must be header."""
+    reader = csv.reader(lines)
+    if next(reader, None) != header:
+        raise InputError(f"bad {kind} file {path}: unexpected header")
+    return reader
+
+
+@contextmanager
 def _reading(path: Path, kind: str, header: list[str]) -> Iterator[Iterator[list[str]]]:
     """The csv rows of an artifact file after its header, which must be header.
 
-    Text that is not UTF-8 or that csv cannot split into rows (such as a
-    field over csv's size limit) is an InputError, and so is a row that the
-    caller fails to convert (an IndexError, ValueError or KeyError).
+    Besides the errors of _opened, a row that the caller fails to convert
+    (an IndexError, ValueError or KeyError) is an InputError.
     """
     row: list[str] | None = None
 
@@ -347,15 +372,8 @@ def _reading(path: Path, kind: str, header: list[str]) -> Iterator[Iterator[list
             yield row
 
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != header:
-                raise InputError(f"bad {kind} file {path}: unexpected header")
-            yield rows(reader)
-    except UnicodeDecodeError:
-        raise InputError(f"bad {kind} file {path}: not UTF-8 text") from None
-    except csv.Error as exc:
-        raise InputError(f"bad {kind} file {path}: {exc}") from None
+        with _opened(path, kind) as fh:
+            yield rows(_csv_rows(fh, path, kind, header))
     except (IndexError, ValueError, KeyError):
         if row is None:
             raise
@@ -367,38 +385,102 @@ def write_sessions_csv(table: SessionTable, path: Path) -> None:
     _write_csv(path, _SESSION_COLS, columns, text_cols=(1,))
 
 
+def _count_lf(path: Path) -> int:
+    with open(path, "rb") as fh:
+        return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
+
+
+def _split_segment(seg: str, field_limit: int) -> list[list[str]] | None:
+    """The five columns of seg's csv rows, if seg is whole lines that csv
+    splits at every LF and comma alone into rows of five fields; else None.
+
+    Without a quote or a CR, csv ends a row only at LF and a field only at a
+    comma, so one str.split yields every field. A comma put after each LF
+    ends each row's k_items field with that LF, which int() skips as space.
+    Given four commas per LF in all, the LFs all fall in k_items fields
+    exactly when every line has five fields. A segment no longer than csv's
+    field size limit holds no field over it.
+    """
+    if '"' in seg or "\r" in seg or len(seg) > field_limit:
+        return None
+    if seg[-1] != "\n":  # the file's last line, unterminated
+        seg += "\n"
+    text = seg.replace("\n", "\n,")
+    lines = len(text) - len(seg)
+    fields = text.split(",")
+    ks = fields[4::5]
+    if len(fields) != 5 * lines + 1 or "".join(ks).count("\n") != lines:
+        return None
+    return [fields[0:-1:5], fields[1::5], fields[2::5], fields[3::5], ks]
+
+
 def read_sessions_csv(path: Path) -> SessionTable:
-    users: list[str] = []
-    starts = array("q")
-    ends = array("q")
-    ks: list[int] = []
+    """The sessions of a sessions.csv file, checked as they are read.
+
+    Under the exact header, the file is read in segments of whole lines that
+    _split_segment splits without csv; from the first segment it cannot
+    split, or that fails a check, csv reads the rest. Both feed one
+    converter, so either way the rows, checks and errors are csv's.
+    """
+    # Columns sized for one row per LF: the header's LF pays for a last line
+    # that has none. Only bare CRs can end more rows, and slice assignment
+    # grows a column past its end.
+    size = _count_lf(path)
+    users: list[str] = [""] * size
+    starts = array("q", (0,)) * size
+    ends = array("q", (0,)) * size
+    ks: list[int] = [0] * size
+    n = 0
     # One str object per distinct user, however many sessions name it.
     seen: dict[str, str] = {}
     intern = seen.setdefault
-    with _reading(path, "sessions", _SESSION_COLS) as rows:
-        # map() over a column converts without a bytecode loop per row, which
-        # pays for filling the array('q') columns. A chunk failing any check
-        # is scanned again row by row, so that the error names its first
-        # faulty row, as a row-at-a-time reader would.
-        for chunk in iter(lambda: list(islice(rows, _CHUNK_ROWS)), []):
-            first = len(ks)
+
+    def take(cols: Sequence[Sequence[str]]) -> bool:
+        """Fill the next rows from the columns of a run of rows; False, and
+        nothing filled, if any of those rows fails a check."""
+        nonlocal n
+        # map() over a column converts without a bytecode loop per row,
+        # which pays for filling the array('q') columns.
+        try:
+            ids = list(map(int, cols[0]))
+            # k_items holds few distinct texts, each converted once.
+            k_of = {text: int(text) for text in set(cols[4])}
+            # array() fills faster from a list than from an iterator.
+            chunk_starts = array("q", list(map(int, cols[2])))
+            chunk_ends = array("q", list(map(int, cols[3])))
+        except (IndexError, ValueError, OverflowError):
+            return False
+        end = n + len(ids)
+        if min(k_of.values()) < 1 or ids != list(range(n, end)):
+            return False
+        users[n:end] = map(intern, cols[1], cols[1])
+        starts[n:end] = chunk_starts
+        ends[n:end] = chunk_ends
+        ks[n:end] = map(k_of.__getitem__, cols[4])
+        n = end
+        return True
+
+    field_limit = csv.field_size_limit()
+    with _opened(path, "sessions") as fh:
+        head = fh.readline()
+        rows = None
+        if head == _SESSIONS_HEADER_LINE:
+            # readline() ends each segment where the file's own lines end.
+            while seg := fh.read(_SEGMENT_CHARS) + fh.readline():
+                cols = _split_segment(seg, field_limit)
+                if cols is None or not take(cols):
+                    rows = csv.reader(chain(io.StringIO(seg, newline=""), fh))
+                    break
+        else:
+            rows = _csv_rows(chain((head,), fh), path, "sessions", _SESSION_COLS)
+        # A chunk failing any check is scanned again row by row, so that the
+        # error names its first faulty row, as a row-at-a-time reader would.
+        while rows is not None and (chunk := list(islice(rows, _CHUNK_ROWS))):
             # One tuple per column, as long as the chunk; a short row leaves
             # fewer columns.
-            cols = list(zip(*chunk))
-            try:
-                ids, chunk_ks = list(map(int, cols[0])), list(map(int, cols[4]))
-                # array() fills faster from a list than from an iterator.
-                chunk_starts = array("q", list(map(int, cols[2])))
-                chunk_ends = array("q", list(map(int, cols[3])))
-                ok = min(chunk_ks) >= 1 and ids == list(range(first, first + len(chunk)))
-            except (IndexError, ValueError, OverflowError):
-                ok = False
-            if not ok:
-                _raise_first_bad_session_row(path, chunk, first)
-            users += map(intern, cols[1], cols[1])
-            starts += chunk_starts
-            ends += chunk_ends
-            ks += chunk_ks
+            if not take(list(zip(*chunk))):
+                _raise_first_bad_session_row(path, chunk, n)
+    del users[n:], starts[n:], ends[n:], ks[n:]
     return SessionTable(users, starts, ends, ks)
 
 
@@ -515,8 +597,14 @@ def write_transitions_csv(tg: TransitionGraph, path: Path) -> None:
 
 
 def read_transitions_csv(path: Path) -> TransitionGraph:
+    counts: dict[tuple[str, str], int] = {}
     with _reading(path, "transitions", _TRANSITION_COLS) as rows:
-        return TransitionGraph({(row[0], row[1]): int(row[2]) for row in rows})
+        for row in rows:
+            count = int(row[2])
+            if row[0] not in NODE_BY_LABEL or row[1] not in NODE_BY_LABEL or count < 1:
+                raise _row_error(path, "transitions", row)
+            counts[row[0], row[1]] = count
+    return TransitionGraph(counts)
 
 
 def write_communities_csv(
@@ -764,19 +852,31 @@ def report_stats(artifacts_dir: Path | str) -> str:
     classifications = read_classifications_csv(path["classifications"])
     route_count = len(read_routes_csv(path["routes"]))
     community_count = read_communities_count(path["communities"])
-
     types, classified, dominant = _type_tally(metrics, classifications)
     # One q per block index, as the tally counts it.
     total_sessions = sum({m.block_index: m.q for m in metrics}.values())
+    return stats_text({
+        "blocks": {"total": len(metrics), "classified": len(classifications)},
+        "sessions": {"total": total_sessions, "classified": classified},
+        "types": types,
+        "dominant_type": dominant,
+        "route_count": route_count,
+        "community_count": community_count,
+    })
+
+
+def stats_text(report: dict) -> str:
+    """The human-readable summary of a report as build_report returns it."""
+    blocks, sessions = report["blocks"], report["sessions"]
     lines = [
-        f"blocks: {len(metrics)} total, {len(classifications)} classified",
-        f"sessions: {total_sessions} total, {classified} classified",
+        f"blocks: {blocks['total']} total, {blocks['classified']} classified",
+        f"sessions: {sessions['total']} total, {sessions['classified']} classified",
         "type  sessions  share",
     ]
-    for label, t in types.items():
+    for label, t in report["types"].items():
         lines.append(f"{label:<5} {t['sessions']:>9} {t['share_pct']:6.2f}%")
-    if dominant is not None:
-        lines.append(f"dominant type: {dominant}")
-    lines.append(f"routes: {route_count}")
-    lines.append(f"communities: {community_count}")
+    if report["dominant_type"] is not None:
+        lines.append(f"dominant type: {report['dominant_type']}")
+    lines.append(f"routes: {report['route_count']}")
+    lines.append(f"communities: {report['community_count']}")
     return "\n".join(lines)

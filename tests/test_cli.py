@@ -58,6 +58,45 @@ def test_graph_single_format(tmp_path):
     assert not (out / "compass.graphml").exists()
 
 
+@pytest.mark.parametrize("line, row", [
+    ("a,f,-9", ["a", "f", "-9"]),  # once exit 3: edge weight must be positive
+    ("a,b,0", ["a", "b", "0"]),
+    ("x,y,5", ["x", "y", "5"]),  # once ignored, with exit 0
+    ("a,g,1", ["a", "g", "1"]),
+    (",a,1", ["", "a", "1"]),
+])
+def test_graph_refuses_bad_transitions(tmp_path, capsys, line, row):
+    path = tmp_path / "transitions.csv"
+    path.write_text(f"from,to,count\na,b,3\n{line}\n", encoding="utf-8")
+    assert main(["graph", "--out-dir", str(tmp_path / "g"), "--transitions", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: bad transitions file {path}: row {row!r}\n"
+    path.write_text("from,to,count\na,b,3\n", encoding="utf-8")
+    assert main(["graph", "--out-dir", str(tmp_path / "g"), "--transitions", str(path)]) == 0
+
+
+@pytest.mark.parametrize("profile", [
+    ["--seed", "5", "--sessions-per-block", "30", "--blocks", "4"],
+    ["--seed", "9", "--users", "6", "--sessions-per-block", "12", "--blocks", "6",
+     "--k-dist", "heavy-tail", "--block-size", "5", "--grouping", "user", "--linkage", "2"],
+    ["--seed", "2", "--sessions-per-block", "20", "--blocks", "3",
+     "--k-dist", "uniform-range(1,6)", "--block-size", "7", "--z", "0.5"],
+    # one block: nothing classified, no dominant type
+    ["--seed", "3", "--sessions-per-block", "10", "--blocks", "1", "--block-size", "50"],
+])
+def test_run_prints_what_report_prints(tmp_path, capsys, profile):
+    synth = {"--seed", "--users", "--sessions-per-block", "--blocks", "--k-dist"}
+    pairs = list(zip(profile[::2], profile[1::2]))
+    log, out = tmp_path / "log.csv", tmp_path / "out"
+    assert main(["synth", "--out", str(log), *(x for p in pairs if p[0] in synth for x in p)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--input", str(log), "--out", str(out),
+                 *(x for p in pairs if p[0] not in synth for x in p)]) == 0
+    ran = capsys.readouterr().out
+    assert main(["report", "--artifacts", str(out)]) == 0
+    assert ran == capsys.readouterr().out
+    assert ran.startswith("blocks: ")
+
+
 def test_empty_input_is_input_error(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -24,7 +25,7 @@ from logcompass.events import (
     filter_events,
     parse_events,
 )
-from logcompass.pipeline import SessionTable, sessionize_summaries
+from logcompass.pipeline import SessionTable, parse_log_files, sessionize_summaries
 from logcompass.timeutil import parse_timestamp_ms
 
 
@@ -645,3 +646,47 @@ def test_sessionize_summaries_int64_extremes():
     ]]
     _check_against_oracle(events)
     assert list(sessionize_summaries(event_table(events), 1800).start_ms) == [lo, lo, -1, 0, hi - 10]
+
+
+# --- any bytes in, diagnostics out -----------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["ts", "user", "item", "agent"]) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=10,
+)
+_FIELD_BYTES = st.sampled_from([
+    b"2021-03-01T10:00:00Z", b"1614556800000", b"-9223372036854775809", b"u1", b"/i1",
+    b"", b" ", b"\xff", b"\xe2\x80", b"\xed\xa0\x80", b"\x00", b'"', b"{", b"[",
+]) | st.binary(max_size=6)
+_LINE_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.builds(lambda v, ascii_only: json.dumps(v, ensure_ascii=ascii_only).encode("utf-8", "surrogatepass"),
+              _JSON_VALUES, st.booleans()),
+    st.lists(_FIELD_BYTES, max_size=5).map(b",".join),
+)
+_LOG_BYTES = st.lists(
+    st.tuples(_LINE_BYTES, st.sampled_from([b"\n", b"\r\n", b"\r", b""])), max_size=8
+).map(lambda lines: b"".join(line + end for line, end in lines))
+
+
+@pytest.mark.parametrize("fmt", ["a", "b"])
+def test_any_bytes_parse_to_events_and_diagnostics(tmp_path_factory, fmt):
+    @given(_LOG_BYTES)
+    def check(data):
+        path = tmp_path_factory.mktemp("log") / "log"
+        path.write_bytes(data)
+        sink = io.StringIO()
+        events, parsed, malformed = parse_log_files([path], fmt, sink)
+        # The file's lines as parse_log_files reads them.
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            lines = sum(1 for _ in fh)
+        assert parsed == lines == len(events) + malformed
+        diagnostics = sink.getvalue().splitlines()
+        assert len(diagnostics) == malformed
+        assert all(re.fullmatch(r"line [1-9][0-9]*: .+", d) for d in diagnostics)
+        assert all(TS_MIN_MS <= t <= TS_MAX_MS for t in events.ts_ms)
+        assert all(u and i for u, i in zip(events.user_hash, events.item_id))
+
+    check()

@@ -372,11 +372,16 @@ _TABLES = st.lists(
 ).map(_session_table)
 
 
-@given(_TABLES)
-def test_sessions_csv_round_trips_any_table(tmp_path_factory, table):
+# Segment sizes for read_sessions_csv: the small ones cut segments mid-row.
+_SEGMENTS = st.sampled_from([16, 64, pipeline._SEGMENT_CHARS])
+
+
+@given(_TABLES, _SEGMENTS)
+def test_sessions_csv_round_trips_any_table(tmp_path_factory, table, segment):
     path = tmp_path_factory.mktemp("rt") / "sessions.csv"
     write_sessions_csv(table, path)
-    got = read_sessions_csv(path)
+    with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
+        got = read_sessions_csv(path)
     assert got == table
     assert table_rows(got) == [
         (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
@@ -551,8 +556,9 @@ def _corrupt(row: list[str], fault) -> list[str]:
     # Chunks smaller than the file put a fault and the rows before it in
     # different chunks.
     st.sampled_from([1, 2, 3, pipeline._CHUNK_ROWS]),
+    _SEGMENTS,
 )
-def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, faults, chunk):
+def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, faults, chunk, segment):
     lines = [["session_id", "user_hash", "start_ms", "end_ms", "k_items"]]
     lines += [[str(i), u, str(t), str(t + 1), str(k)] for i, (u, t, k) in enumerate(rows)]
     for at, fault in faults:
@@ -561,7 +567,8 @@ def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, f
     path = tmp_path_factory.mktemp("bad") / "sessions.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(lines)
-    with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
         try:
             want = oracle_read_sessions_csv(path)
         except InputError as exc:
@@ -596,6 +603,153 @@ def test_first_faulty_row_wins_across_chunks(tmp_path, chunk):
     with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk):
         with pytest.raises(InputError, match=re.escape(f"64-bit range in row {row!r}")):
             read_sessions_csv(path)
+
+
+# --- read_sessions_csv's split segments and its csv fallback -----------------------
+
+
+def _plain_table(n: int, first_user: int = 0) -> SessionTable:
+    return SessionTable(
+        [f"u{(first_user + i) % 7}" for i in range(n)],
+        array("q", [10**12 + 1000 * i for i in range(n)]),
+        array("q", [10**12 + 1000 * i + 5 for i in range(n)]),
+        [1 + i % 3 for i in range(n)],
+    )
+
+
+def _oracle_rows(path):
+    return [(s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
+            for s in oracle_read_sessions_csv(path)]
+
+
+def _agrees_with_oracle(path, segment=pipeline._SEGMENT_CHARS):
+    """read_sessions_csv yields the oracle's rows or raises its message."""
+    with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
+        try:
+            want = _oracle_rows(path)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                read_sessions_csv(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert table_rows(read_sessions_csv(path)) == want
+
+
+@pytest.mark.parametrize("segment", [16, 64, pipeline._SEGMENT_CHARS])
+@pytest.mark.parametrize("user", ["a,b", 'q"t', "c\rr", "n\nl"])
+def test_quoted_user_after_clean_segments(tmp_path, segment, user):
+    # Several segments split without csv, then a user that csv must unquote.
+    head, tail = _plain_table(600), _plain_table(50, first_user=3)
+    table = SessionTable(
+        head.user_hash + [user] + tail.user_hash,
+        head.start_ms + array("q", [7]) + tail.start_ms,
+        head.end_ms + array("q", [8]) + tail.end_ms,
+        head.k_items + [4] + tail.k_items,
+    )
+    path = tmp_path / "sessions.csv"
+    write_sessions_csv(table, path)
+    with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
+        assert read_sessions_csv(path) == table
+    _agrees_with_oracle(path, segment)
+
+
+_HEADER = "session_id,user_hash,start_ms,end_ms,k_items"
+
+
+@pytest.mark.parametrize("segment", [16, 64, pipeline._SEGMENT_CHARS])
+@pytest.mark.parametrize("text", [
+    # an unterminated last line
+    f"{_HEADER}\n0,u1,5,6,1\n1,u2,7,8,2",
+    f"{_HEADER}\n0,u1,5,6,1",
+    # CRLF line endings, from the header on or after it
+    f"{_HEADER}\r\n0,u1,5,6,1\r\n1,u2,7,8,2\r\n",
+    f"{_HEADER}\n0,u1,5,6,1\r\n1,u2,7,8,2\r\n",
+    f"{_HEADER}\n0,u1,5,6,1\n1,u2,7,8,2\r\n2,u1,9,9,1\n",
+    # bare CR line endings: more rows than LFs
+    f"{_HEADER}\r0,u1,5,6,1\r1,u2,7,8,2\r2,u1,9,9,1\r",
+    f"{_HEADER}\n0,u1,5,6,1\r1,u2,7,8,2\r2,u1,9,9,1\r",
+    # blank lines, inside and at the end
+    f"{_HEADER}\n0,u1,5,6,1\n\n1,u2,7,8,2\n",
+    f"{_HEADER}\n0,u1,5,6,1\n1,u2,7,8,2\n\n",
+    f"{_HEADER}\n\n",
+    # the header alone, with or without its LF
+    f"{_HEADER}\n",
+    _HEADER,
+    "",
+    # four commas per line on average, but not on every line
+    f"{_HEADER}\n0,u,5,5,1,1,u,5\n5,1\n",
+    f"{_HEADER}\n0,u,5,5,1,7\n1,u,5,5\n",
+    # surplus fields, which the reader ignores
+    f"{_HEADER}\n0,u,5,5,1,x\n1,u,5,5,1,,\n",
+    # text that int() reads around whitespace, and a NUL, which csv keeps
+    f"{_HEADER}\n 0,u,5,5,1 \n1,u\x00v,5,5,2\n",
+])
+def test_read_sessions_line_endings_and_shapes_match_oracle(tmp_path, segment, text):
+    path = tmp_path / "sessions.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _agrees_with_oracle(path, segment)
+
+
+def test_misaligned_lines_name_the_short_row(tmp_path):
+    # Split at every comma and LF, these lines make two good rows.
+    path = tmp_path / "sessions.csv"
+    path.write_text(f"{_HEADER}\n0,u,5,5,1,1,u,5\n5,1\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape("row ['5', '1']")):
+        read_sessions_csv(path)
+
+
+@pytest.mark.parametrize("segment", [16, 64, pipeline._SEGMENT_CHARS])
+def test_field_over_a_lowered_csv_limit(tmp_path, segment):
+    table = _plain_table(400)
+    users = list(table.user_hash)
+    users[300] = "w" * 60
+    path = tmp_path / "sessions.csv"
+    write_sessions_csv(SessionTable(users, table.start_ms, table.end_ms, table.k_items), path)
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(50)
+        with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
+            with pytest.raises(InputError) as got:
+                read_sessions_csv(path)
+        assert str(got.value) == f"bad sessions file {path}: field larger than field limit (50)"
+        # Fields under the limit read back, though the segments are longer.
+        write_sessions_csv(table, path)
+        with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
+            assert read_sessions_csv(path) == table
+    finally:
+        csv.field_size_limit(limit)
+    assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize("n, segment, terminated", [
+    (0, 64, True), (1, 64, True), (1, 64, False), (3000, 64, True), (3000, 64, False),
+    (3000, pipeline._SEGMENT_CHARS, True), (3000, pipeline._SEGMENT_CHARS, False),
+])
+def test_plain_file_never_reaches_csv_reader(tmp_path, n, segment, terminated):
+    table = _plain_table(n)
+    path = tmp_path / "sessions.csv"
+    write_sessions_csv(table, path)
+    if not terminated:
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader")), \
+            mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
+        assert read_sessions_csv(path) == table
+
+
+def test_read_sessions_columns_are_exact_size(tmp_path):
+    # Columns filled in place hold one slot per LF: one per row, and one
+    # spare when the last line has its LF.
+    n = 5000
+    table = _plain_table(n)
+    path = tmp_path / "sessions.csv"
+    write_sessions_csv(table, path)
+    for slots in (n + 1, n):
+        got = read_sessions_csv(path)
+        assert got == table
+        assert sys.getsizeof(got.user_hash) == sys.getsizeof(got.k_items) == sys.getsizeof([None] * slots)
+        assert sys.getsizeof(got.start_ms) == sys.getsizeof(got.end_ms) == sys.getsizeof(
+            array("q", (0,)) * slots)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
 
 
 # --- artifacts that are not UTF-8 ------------------------------------------------

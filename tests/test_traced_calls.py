@@ -59,3 +59,20 @@ def test_stage_commands_record_every_traced_layer(job, tmp_path, capsys):
     assert not hasattr(pipeline.read_sessions_csv, "__wrapped__")
     assert {layer for layer, _ in job.TRACED_CALLS.values()} == set(LAYER_CALLS)
     assert Counter(span["name"] for span in tr.spans) == LAYER_CALLS
+
+
+def test_run_reads_no_artifact_back(job, tmp_path, capsys):
+    # run prints its summary from the report in memory, not from the files
+    # it has just written.
+    tracing = importlib.import_module("tracing")
+    log = tmp_path / "log.csv"
+    assert main(["synth", "--out", str(log), "--seed", "4",
+                 "--sessions-per-block", "20", "--blocks", "4"]) == 0
+    tr = tracing.Tracer()
+    with job.traced_calls(tr):
+        assert main(["run", "--input", str(log), "--block-size", "20",
+                     "--out", str(tmp_path / "out")]) == 0
+    names = {span["name"] for span in tr.spans}
+    assert "pipeline.write_sessions" in names
+    assert not {name for name in names if name.startswith("pipeline.read_")}
+    assert "blocks: 4 total, 3 classified" in capsys.readouterr().out
