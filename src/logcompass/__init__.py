@@ -19,7 +19,7 @@ from .compass import (
 )
 from .errors import ConfigError, InputError
 from .events import (
-    EventTable,
+    EventGroups,
     FilterRules,
     LogEvent,
     ParseDiagnostic,

@@ -1,4 +1,4 @@
-"""Access-log parsing and traffic filtering into a columnar event table.
+"""Access-log parsing and traffic filtering into events grouped by user.
 
 Two line-oriented input formats are supported:
 
@@ -7,7 +7,8 @@ Two line-oriented input formats are supported:
   text or integer epoch milliseconds), ``user``, ``item``, optional ``agent``.
 
 Malformed lines never abort a parse; each one yields a diagnostic instead.
-Sessions are built from the table by ``pipeline.sessionize_summaries``.
+Events are grouped by user, each user's in input order, which is all that
+``pipeline.sessionize_summaries`` needs to build sessions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, chain, compress, repeat, zip_longest
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError
@@ -28,6 +29,10 @@ LOG_FORMATS = ("a", "b")
 TS_MIN_MS = -(2**63)
 TS_MAX_MS = 2**63 - 1
 COUNT_POLICIES = ("distinct", "raw")
+# The deepest nesting of a format-b record. json counts each level against
+# the recursion limit, which the caller's stack shares; a cap well below it
+# makes whether a line is refused depend on the line alone.
+MAX_NESTING = 200
 DEFAULT_GAP_SECONDS = 1800.0
 
 
@@ -36,7 +41,7 @@ class LogEvent(NamedTuple):
 
     A named tuple, so it is immutable and hashable and compares equal to the
     plain tuple ``(ts_ms, user_hash, item_id, source_tag)``. The synthetic
-    generator yields these; parsing yields an :class:`EventTable` instead.
+    generator yields these; parsing yields :class:`EventGroups` instead.
     """
 
     ts_ms: int
@@ -45,30 +50,29 @@ class LogEvent(NamedTuple):
     source_tag: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class EventTable:
-    """Parsed events, one column each, in input order.
+# One user's events as columns, in input order: (ts_ms, item_id, source_tag).
+# The tag column holds the tags of the first len(tags) events; each later
+# event has none, so a log without tags holds no tag column.
+Group = tuple[array, list[str], list[str | None]]
 
-    Row i is the event ``(ts_ms[i], user_hash[i], item_id[i], source_tag[i])``.
-    Timestamps are a signed 64-bit ``array('q')``; the text columns are
-    lists, in which parsing makes equal values one interned object. len() is
-    the number of events, so an empty table is falsy.
+
+@dataclass(frozen=True, slots=True)
+class EventGroups:
+    """Parsed events grouped by user.
+
+    groups maps each user_hash to the columns of that user's events, in
+    input order. Timestamps are a signed 64-bit ``array('q')``; parsing
+    makes equal items and equal tags one interned object, and each user's
+    text is held once, as its key. len() is the number of events parsed
+    into the groups, so empty groups are falsy. It stays so after a
+    consumer, such as sessionize_summaries, has popped the groups.
     """
 
-    ts_ms: array
-    user_hash: list[str]
-    item_id: list[str]
-    source_tag: list[str | None]
+    groups: dict[str, Group]
+    count: int
 
     def __len__(self) -> int:
-        return len(self.ts_ms)
-
-    def extend(self, other: EventTable) -> None:
-        """Append other's rows after this table's."""
-        self.ts_ms.extend(other.ts_ms)
-        self.user_hash.extend(other.user_hash)
-        self.item_id.extend(other.item_id)
-        self.source_tag.extend(other.source_tag)
+        return self.count
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,17 +108,42 @@ class FilterRules:
 
 def parse_events(
     lines: Iterable[str], log_format: str = "a"
-) -> tuple[EventTable, list[ParseDiagnostic]]:
-    """Parse raw log lines into an event table plus per-line diagnostics.
+) -> tuple[EventGroups, list[ParseDiagnostic]]:
+    """Parse raw log lines into events grouped by user, plus per-line
+    diagnostics.
 
-    Input order is preserved; a malformed line produces one diagnostic and
-    no row.
+    Each user's events keep their input order; a malformed line produces one
+    diagnostic and no event.
     """
-    if log_format == "a":
-        return _parse_delimited(lines)
-    if log_format == "b":
-        return _parse_records(lines)
-    raise ConfigError(f"unknown log format {log_format!r} (expected one of {LOG_FORMATS})")
+    if log_format not in LOG_FORMATS:
+        raise ConfigError(f"unknown log format {log_format!r} (expected one of {LOG_FORMATS})")
+    event_of = _delimited_event if log_format == "a" else _record_event
+    groups: dict[str, Group] = {}
+    diags: list[ParseDiagnostic] = []
+    intern = sys.intern
+    group_of = groups.get
+    for line_no, raw in enumerate(lines, 1):
+        if not raw.isascii() and not _is_utf8(raw):
+            diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
+            continue
+        event = event_of(raw)
+        if type(event) is str:
+            diags.append(ParseDiagnostic(line_no, event))
+            continue
+        ts, user, item, tag = event
+        group = group_of(user)
+        if group is None:
+            group = groups[user] = (array("q"), [], [])
+        ts_col, items, tags = group
+        # A user's tag column starts at its first tagged event.
+        if tags:
+            tags.append(intern(tag) if tag else None)
+        elif tag:
+            tags += repeat(None, len(items))
+            tags.append(intern(tag))
+        ts_col.append(ts)
+        items.append(intern(item))
+    return EventGroups(groups, sum(len(g[0]) for g in groups.values())), diags
 
 
 def _is_utf8(line: str) -> bool:
@@ -127,158 +156,123 @@ def _is_utf8(line: str) -> bool:
     return True
 
 
-def _parse_delimited(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnostic]]:
-    # fromisoformat covers years 1-9999, which always fit in array('q').
-    table = EventTable(array("q"), [], [], [])
-    diags: list[ParseDiagnostic] = []
-    intern = sys.intern
-    add_ts = table.ts_ms.append
-    add_user = table.user_hash.append
-    add_item = table.item_id.append
-    add_tag = table.source_tag.append
-    for line_no, raw in enumerate(lines, 1):
-        if not raw.isascii() and not _is_utf8(raw):
-            diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
-            continue
-        line = raw.rstrip("\r\n")
-        if not line:
-            diags.append(ParseDiagnostic(line_no, "empty line"))
-            continue
-        parts = line.split(",")
-        n = len(parts)
-        if n == 3:
-            ts_text, user, item = parts
-            tag = None
-        elif n == 4:
-            ts_text, user, item, tag = parts
-        else:
-            diags.append(ParseDiagnostic(line_no, f"expected 3 or 4 fields, got {n}"))
-            continue
-        if not user or not item:
-            diags.append(ParseDiagnostic(line_no, "empty user_hash or item_id"))
-            continue
-        try:
-            ts = parse_timestamp_ms(ts_text)
-        except ValueError:
-            diags.append(ParseDiagnostic(line_no, f"bad timestamp {ts_text!r}"))
-            continue
-        add_ts(ts)
-        add_user(intern(user))
-        add_item(intern(item))
-        add_tag(intern(tag) if tag else None)
-    return table, diags
+def _delimited_event(raw: str) -> tuple[int, str, str, str | None] | str:
+    """A format-a line's (ts_ms, user_hash, item_id, source_tag), or the
+    reason it is malformed."""
+    line = raw.rstrip("\r\n")
+    if not line:
+        return "empty line"
+    parts = line.split(",")
+    n = len(parts)
+    if n == 3:
+        ts_text, user, item = parts
+        tag = None
+    elif n == 4:
+        ts_text, user, item, tag = parts
+    else:
+        return f"expected 3 or 4 fields, got {n}"
+    if not user or not item:
+        return "empty user_hash or item_id"
+    try:
+        # fromisoformat covers years 1-9999, which always fit in array('q').
+        return parse_timestamp_ms(ts_text), user, item, tag
+    except ValueError:
+        return f"bad timestamp {ts_text!r}"
 
 
-def _parse_records(lines: Iterable[str]) -> tuple[EventTable, list[ParseDiagnostic]]:
+def _nesting(line: str) -> int:
+    """The deepest nesting of arrays and objects in JSON text. A bracket in
+    a string, or in a string left open to the end, does not count."""
+    brackets = re.findall(r"[][{}]", re.sub(r'"(?:[^"\\]|\\.)*"?', "", line, flags=re.DOTALL))
+    return max(accumulate(1 if b in "[{" else -1 for b in brackets), default=0)
+
+
+# A stripped line has no JSON whitespace around it, so a raw_decode that takes
+# the whole line yields what json.loads would, without loads's wrapper; any
+# other line goes to loads, which words the diagnostic.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _record_event(raw: str) -> tuple[int, str, str, str | None] | str:
+    """A format-b line's (ts_ms, user_hash, item_id, source_tag), or the
+    reason it is malformed."""
     # json yields exact int, str and dict, so `type(x) is` checks suffice; a
     # bool ts is not an int here and gets the same diagnostic as a float.
-    table = EventTable(array("q"), [], [], [])
-    diags: list[ParseDiagnostic] = []
-    intern = sys.intern
-    # A stripped line has no JSON whitespace around it, so a raw_decode that
-    # takes the whole line yields what json.loads would, without loads's
-    # wrapper; any other line goes to loads, which words the diagnostic.
-    raw_decode = json.JSONDecoder().raw_decode
-    loads = json.loads
-    add_ts = table.ts_ms.append
-    add_user = table.user_hash.append
-    add_item = table.item_id.append
-    add_tag = table.source_tag.append
-    for line_no, raw in enumerate(lines, 1):
-        if not raw.isascii() and not _is_utf8(raw):
-            diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
-            continue
-        line = raw.strip()
-        if not line:
-            diags.append(ParseDiagnostic(line_no, "empty line"))
-            continue
+    line = raw.strip()
+    if not line:
+        return "empty line"
+    # Only a line with more brackets than the cap, and so only a line longer
+    # than the cap, can nest past it.
+    if len(line) > MAX_NESTING and line.count("[") + line.count("{") > MAX_NESTING:
+        if _nesting(line) > MAX_NESTING:
+            return "invalid record: nested too deeply"
+    try:
+        rec, end = _raw_decode(line)
+    except (ValueError, RecursionError):
+        end = -1
+    if end != len(line):
         try:
-            rec, end = raw_decode(line)
-        except (ValueError, RecursionError):
-            end = -1
-        if end != len(line):
-            try:
-                rec = loads(line)
-            except json.JSONDecodeError as exc:
-                diags.append(ParseDiagnostic(line_no, f"invalid record: {exc.msg}"))
-                continue
-            except ValueError:
-                # A number past int()'s limit of 4,300 digits.
-                diags.append(ParseDiagnostic(line_no, "invalid record: integer too long"))
-                continue
-            except RecursionError:
-                diags.append(ParseDiagnostic(line_no, "invalid record: nested too deeply"))
-                continue
-        if type(rec) is not dict:
-            diags.append(ParseDiagnostic(line_no, "record is not an object"))
-            continue
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"invalid record: {exc.msg}"
+        except ValueError:
+            # A number past int()'s limit of 4,300 digits.
+            return "invalid record: integer too long"
+        except RecursionError:
+            return "invalid record: nested too deeply"
+    if type(rec) is not dict:
+        return "record is not an object"
+    try:
+        ts, user, item = rec["ts"], rec["user"], rec["item"]
+    except KeyError:
+        missing = [k for k in ("ts", "user", "item") if k not in rec]
+        return f"missing key {missing[0]!r}"
+    ts_type = type(ts)
+    if ts_type is int:
+        if not TS_MIN_MS <= ts <= TS_MAX_MS:
+            return "ts outside the signed 64-bit range"
+    elif ts_type is str:
         try:
-            ts_val = rec["ts"]
-            user = rec["user"]
-            item = rec["item"]
-        except KeyError:
-            missing = [k for k in ("ts", "user", "item") if k not in rec]
-            diags.append(ParseDiagnostic(line_no, f"missing key {missing[0]!r}"))
-            continue
-        ts_type = type(ts_val)
-        if ts_type is int:
-            if not TS_MIN_MS <= ts_val <= TS_MAX_MS:
-                diags.append(ParseDiagnostic(line_no, "ts outside the signed 64-bit range"))
-                continue
-            ts = ts_val
-        elif ts_type is str:
-            try:
-                ts = parse_timestamp_ms(ts_val)
-            except ValueError:
-                diags.append(ParseDiagnostic(line_no, f"bad timestamp {ts_val!r}"))
-                continue
-        else:
-            diags.append(ParseDiagnostic(line_no, "ts must be ISO-8601 text or epoch milliseconds"))
-            continue
-        if type(user) is not str or type(item) is not str or not user or not item:
-            diags.append(ParseDiagnostic(line_no, "user and item must be non-empty text"))
-            continue
-        # A valid line can still escape a lone surrogate (\ud800), which no
-        # UTF-8 artifact can hold.
-        if (not user.isascii() and not _is_utf8(user)) or (
-            not item.isascii() and not _is_utf8(item)
-        ):
-            diags.append(ParseDiagnostic(line_no, "user and item must be valid Unicode text"))
-            continue
-        tag = rec.get("agent")
-        if tag is not None and type(tag) is not str:
-            diags.append(ParseDiagnostic(line_no, "agent must be text"))
-            continue
-        add_ts(ts)
-        add_user(intern(user))
-        add_item(intern(item))
-        add_tag(intern(tag) if tag else None)
-    return table, diags
+            ts = parse_timestamp_ms(ts)
+        except ValueError:
+            return f"bad timestamp {ts!r}"
+    else:
+        return "ts must be ISO-8601 text or epoch milliseconds"
+    if type(user) is not str or type(item) is not str or not user or not item:
+        return "user and item must be non-empty text"
+    # A valid line can still escape a lone surrogate (\ud800), which no
+    # UTF-8 artifact can hold.
+    if (not user.isascii() and not _is_utf8(user)) or (not item.isascii() and not _is_utf8(item)):
+        return "user and item must be valid Unicode text"
+    tag = rec.get("agent")
+    if tag is not None and type(tag) is not str:
+        return "agent must be text"
+    return ts, user, item, tag
 
 
-def filter_events(table: EventTable, rules: FilterRules) -> EventTable:
-    """Keep the rows passing the rules, in order.
+def filter_events(events: EventGroups, rules: FilterRules) -> EventGroups:
+    """Keep the events passing the rules, each user's in order; a user left
+    with no events is dropped.
 
     A pattern's verdict depends only on the string it searches, so each
-    distinct item_id and source_tag is searched once; one mask then selects
-    the kept rows of every column. Empty rules return the table itself.
+    distinct item_id and source_tag is searched once; one mask per user then
+    selects the kept events of its columns. Empty rules return events itself.
     """
     if not rules.agent_deny_patterns and rules.item_allow_pattern is None:
-        return table
+        return events
     deny = [re.compile(p).search for p in rules.agent_deny_patterns]
-    allow = (
-        re.compile(rules.item_allow_pattern).search
-        if rules.item_allow_pattern is not None
-        else None
-    )
-    item_ok = {item: allow is None or allow(item) is not None for item in set(table.item_id)}
-    tag_ok = {
-        tag: tag is None or not any(d(tag) for d in deny) for tag in set(table.source_tag)
-    }
-    mask = [item_ok[item] and tag_ok[tag] for item, tag in zip(table.item_id, table.source_tag)]
-    return EventTable(
-        array("q", compress(table.ts_ms, mask)),
-        list(compress(table.user_hash, mask)),
-        list(compress(table.item_id, mask)),
-        list(compress(table.source_tag, mask)),
-    )
+    # Without an allow pattern, the empty pattern passes every item.
+    allow = re.compile(rules.item_allow_pattern or "").search
+    groups = events.groups.values()
+    all_items = set(chain.from_iterable(g[1] for g in groups))
+    all_tags = {None}.union(*(g[2] for g in groups))
+    item_ok = {item: allow(item) is not None for item in all_items}
+    tag_ok = {tag: tag is None or not any(d(tag) for d in deny) for tag in all_tags}
+    kept: dict[str, Group] = {}
+    for user, (ts, items, tags) in events.groups.items():
+        mask = [item_ok[item] and tag_ok[tag] for item, tag in zip_longest(items, tags)]
+        if any(mask):
+            kept[user] = (
+                array("q", compress(ts, mask)), list(compress(items, mask)), list(compress(tags, mask))
+            )
+    return EventGroups(kept, sum(len(g[0]) for g in kept.values()))

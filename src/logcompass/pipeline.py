@@ -20,7 +20,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import gt
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
@@ -31,8 +31,9 @@ from .errors import ConfigError, InputError
 from .events import (
     COUNT_POLICIES,
     DEFAULT_GAP_SECONDS,
-    EventTable,
+    EventGroups,
     FilterRules,
+    Group,
     LOG_FORMATS,
     TS_MAX_MS,
     TS_MIN_MS,
@@ -111,7 +112,7 @@ def _gap_ms(gap_seconds: float) -> int:
 
 
 def sessionize_summaries(
-    events: EventTable, gap_seconds: float, count_policy: str = "distinct"
+    events: EventGroups, gap_seconds: float, count_policy: str = "distinct"
 ) -> SessionTable:
     """Split each user's events into sessions wherever the gap between
     consecutive events exceeds gap_seconds.
@@ -120,6 +121,10 @@ def sessionize_summaries(
     ("raw"). Sessions are numbered by ascending start time globally, ties
     broken by user_hash, which is total: one user's sessions never share a
     start.
+
+    Consumes events: each user's group is popped from events.groups as its
+    sessions are built, so the events are freed while the session columns
+    grow. len(events) stays the number of events.
     """
     gap_ms = _gap_ms(gap_seconds)
     if count_policy not in COUNT_POLICIES:
@@ -127,16 +132,7 @@ def sessionize_summaries(
             f"unknown count policy {count_policy!r} (expected one of {COUNT_POLICIES})"
         )
     distinct = count_policy == "distinct"
-    # Each user's timestamps and items, in input order.
-    groups: dict[str, tuple[array, list[str]]] = {}
-    get = groups.get
-    for user, t, item in zip(events.user_hash, events.ts_ms, events.item_id):
-        group = get(user)
-        if group is None:
-            groups[user] = (array("q", (t,)), [item])
-        else:
-            group[0].append(t)
-            group[1].append(item)
+    groups = events.groups
     users: list[str] = []
     starts = array("q")
     ends = array("q")
@@ -144,7 +140,7 @@ def sessionize_summaries(
     # Users in sorted order, so that the stable sort by start below breaks
     # ties by user.
     for user in sorted(groups):
-        ts, items = groups.pop(user)
+        ts, items, _ = groups.pop(user)
         rows: Iterable[tuple[int, str]] = zip(ts, items)
         start = ts[0]
         # Only a user whose events are out of time order pays for a sorted
@@ -232,15 +228,16 @@ class PipelineConfig:
 
 def parse_log_files(
     paths: Sequence[Path | str], log_format: str, diagnostics: IO[str] | None = None
-) -> tuple[EventTable, int, int]:
+) -> tuple[EventGroups, int, int]:
     """Parse input files in order; returns (events, parsed_count, malformed_count).
 
-    Diagnostics go to the given sink (default stderr), one line per
-    malformed record, numbered per file.
+    Each user's events keep their input order across files. Diagnostics go
+    to the given sink (default stderr), one line per malformed record,
+    numbered per file.
     """
     sink = diagnostics if diagnostics is not None else sys.stderr
-    events: EventTable | None = None
-    malformed = 0
+    groups: dict[str, Group] = {}
+    count = malformed = 0
     for path in paths:
         try:
             # Bytes that are not UTF-8 decode to lone surrogates, which the
@@ -249,16 +246,18 @@ def parse_log_files(
                 got, diags = parse_events(fh, log_format)
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
-        if events is None:
-            events = got
-        else:
-            events.extend(got)
+        for user, group in got.groups.items():
+            have = groups.setdefault(user, group)
+            if have is not group:
+                if group[2]:  # tags after an earlier file's untagged events
+                    have[2].extend(repeat(None, len(have[1]) - len(have[2])))
+                for column, more in zip(have, group):
+                    column.extend(more)
+        count += len(got)
         malformed += len(diags)
         for d in diags:
             print(d, file=sink)
-    if events is None:
-        events = EventTable(array("q"), [], [], [])
-    return events, len(events) + malformed, malformed
+    return EventGroups(groups, count), count + malformed, malformed
 
 
 # --- artifact writers / readers -------------------------------------------
@@ -474,12 +473,19 @@ def read_sessions_csv(path: Path) -> SessionTable:
         else:
             rows = _csv_rows(chain((head,), fh), path, "sessions", _SESSION_COLS)
         # A chunk failing any check is scanned again row by row, so that the
-        # error names its first faulty row, as a row-at-a-time reader would.
-        while rows is not None and (chunk := list(islice(rows, _CHUNK_ROWS))):
-            # One tuple per column, as long as the chunk; a short row leaves
-            # fewer columns.
-            if not take(list(zip(*chunk))):
-                _raise_first_bad_session_row(path, chunk, n)
+        # error names its first faulty row, as a row-at-a-time reader would;
+        # the rows before a row that csv cannot split are checked first.
+        while rows is not None:
+            chunk: list[list[str]] = []
+            try:
+                chunk.extend(islice(rows, _CHUNK_ROWS))
+            finally:
+                # One tuple per column, as long as the chunk; a short row
+                # leaves fewer columns.
+                if chunk and not take(list(zip(*chunk))):
+                    _raise_first_bad_session_row(path, chunk, n)
+            if not chunk:
+                break
     del users[n:], starts[n:], ends[n:], ks[n:]
     return SessionTable(users, starts, ends, ks)
 
@@ -728,11 +734,9 @@ def run_ingest(
     """Parse, filter and sessionize cfg.inputs; returns (sessions, parsed,
     kept, malformed). An input that yields no sessions is an InputError."""
     events, parsed, malformed = parse_log_files(cfg.inputs, cfg.log_format, diagnostics)
-    kept_events = filter_events(events, cfg.filter_rules)
-    kept = len(kept_events)
-    del events
-    sessions = sessionize_summaries(kept_events, cfg.gap_seconds, cfg.count_policy)
-    del kept_events
+    events = filter_events(events, cfg.filter_rules)
+    kept = len(events)
+    sessions = sessionize_summaries(events, cfg.gap_seconds, cfg.count_policy)
     if not sessions:
         raise InputError("no sessions")
     write_sessions_csv(sessions, path("sessions"))

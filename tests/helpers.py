@@ -6,13 +6,14 @@ import csv
 from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from logcompass.blocks import BlockMetrics
 from logcompass.errors import ConfigError, InputError
-from logcompass.events import COUNT_POLICIES, DEFAULT_GAP_SECONDS, EventTable, LogEvent
+from logcompass.events import COUNT_POLICIES, DEFAULT_GAP_SECONDS, EventGroups, LogEvent
 from logcompass.routes import position_community
 from logcompass.taxonomy import NODE_BY_LABEL
 
@@ -27,23 +28,37 @@ def make_events(spec):
     return out
 
 
-def event_table(events: Iterable[LogEvent]) -> EventTable:
-    """The EventTable holding the given events as rows, in order."""
-    table = EventTable(array("q"), [], [], [])
+def event_groups(events: Iterable[LogEvent]) -> EventGroups:
+    """The EventGroups holding the given events, each user's in order."""
+    groups: dict = {}
     for ts, user, item, tag in events:
-        table.ts_ms.append(ts)
-        table.user_hash.append(user)
-        table.item_id.append(item)
-        table.source_tag.append(tag)
-    return table
+        group = groups.setdefault(user, (array("q"), [], []))
+        group[0].append(ts)
+        group[1].append(item)
+        group[2].append(tag)
+    return EventGroups(groups, sum(len(g[0]) for g in groups.values()))
 
 
-def table_events(table: EventTable) -> list[LogEvent]:
-    """An EventTable's rows as LogEvents, for comparison with the oracles."""
-    assert len(table.ts_ms) == len(table.user_hash) == len(table.item_id) == len(table.source_tag)
-    return [
-        LogEvent(*row) for row in zip(table.ts_ms, table.user_hash, table.item_id, table.source_tag)
-    ]
+def by_user(events: Iterable[LogEvent]) -> dict[str, list[LogEvent]]:
+    """The oracle grouping: each user's events, in input order. No artifact
+    can observe the order of events of different users."""
+    out: dict[str, list[LogEvent]] = {}
+    for ev in events:
+        out.setdefault(ev.user_hash, []).append(ev)
+    return out
+
+
+def group_events(events: EventGroups) -> dict[str, list[LogEvent]]:
+    """Each user's events in an EventGroups as LogEvents, for comparison with
+    by_user; also checks the groups' shape and event count."""
+    out = {}
+    for user, (ts, items, tags) in events.groups.items():
+        assert type(ts) is array and ts.typecode == "q"
+        assert len(ts) == len(items) > 0 and len(tags) <= len(items)
+        # Events past the end of the tag column have no tag.
+        out[user] = [LogEvent(*row) for row in zip(ts, repeat(user), items, chain(tags, repeat(None)))]
+    assert len(events) == sum(map(len, out.values()))
+    return out
 
 
 def table_rows(table):

@@ -11,17 +11,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import logcompass.events as events_module
-from helpers import event_table, make_events, sessionize, table_events, table_rows
+from helpers import by_user, event_groups, group_events, make_events, sessionize, table_rows
 from logcompass.errors import ConfigError
 from logcompass.events import (
     COUNT_POLICIES,
-    EventTable,
+    EventGroups,
     FilterRules,
     LogEvent,
+    MAX_NESTING,
     ParseDiagnostic,
     TS_MAX_MS,
     TS_MIN_MS,
-    _parse_records,
     filter_events,
     parse_events,
 )
@@ -32,16 +32,18 @@ from logcompass.timeutil import parse_timestamp_ms
 def test_parse_delimited_line():
     events, diags = parse_events(["2021-03-01T10:00:00Z,u1,art42\n"], "a")
     assert diags == []
-    assert table_events(events) == [LogEvent(parse_timestamp_ms("2021-03-01T10:00:00Z"), "u1", "art42")]
+    assert group_events(events) == {
+        "u1": [LogEvent(parse_timestamp_ms("2021-03-01T10:00:00Z"), "u1", "art42")]
+    }
 
 
 def test_parse_empty_input():
-    assert parse_events([], "a") == (EventTable(array("q"), [], [], []), [])
+    assert parse_events([], "a") == (EventGroups({}, 0), [])
 
 
 def test_parse_two_fields_is_diagnostic():
     events, diags = parse_events(["2021-03-01T10:00:00Z,u1\n"], "a")
-    assert table_events(events) == []
+    assert group_events(events) == {}
     assert len(diags) == 1
     assert str(diags[0]).startswith("line 1: ")
 
@@ -53,22 +55,25 @@ def test_parse_keeps_order_and_skips_malformed():
         "2021-03-01T10:00:05Z,u2,a2\n",
         "2021-03-01T10:00:09Z,,a3\n",
         "2021-03-01T10:00:10Z,u1,a3,scraper\n",
+        "2021-03-01T10:00:11Z,u1,a4\n",
     ]
     events, diags = parse_events(lines, "a")
-    assert events.item_id == ["a1", "a2", "a3"]
-    assert events.source_tag == [None, None, "scraper"]
+    # A user's tag column starts at its first tagged event; u2 has none.
+    assert {user: (items, tags) for user, (_, items, tags) in events.groups.items()} == {
+        "u1": (["a1", "a3", "a4"], [None, "scraper", None]), "u2": (["a2"], [])
+    }
     assert [d.line_no for d in diags] == [2, 4]
 
 
 def test_parse_bad_timestamp_diagnostic():
     events, diags = parse_events(["not-a-time,u1,a1\n"], "a")
-    assert table_events(events) == []
+    assert group_events(events) == {}
     assert "bad timestamp" in diags[0].reason
 
 
 def test_parse_millisecond_precision():
     events, _ = parse_events(["2021-03-01T10:00:00.123Z,u1,a1\n"], "a")
-    assert events.ts_ms[0] % 1000 == 123
+    assert events.groups["u1"][0][0] % 1000 == 123
 
 
 def test_parse_format_b():
@@ -78,8 +83,8 @@ def test_parse_format_b():
     ]
     events, diags = parse_events(lines, "b")
     assert diags == []
-    assert events.ts_ms[0] == events.ts_ms[1] == 1614592800000
-    assert events.source_tag[1] == "app"
+    assert events.groups["u1"][0][0] == events.groups["u2"][0][0] == 1614592800000
+    assert events.groups["u2"][2] == ["app"]
 
 
 @pytest.mark.parametrize(
@@ -96,7 +101,7 @@ def test_parse_format_b():
 )
 def test_parse_format_b_malformed(line):
     events, diags = parse_events([line + "\n"], "b")
-    assert table_events(events) == []
+    assert group_events(events) == {}
     assert len(diags) == 1
 
 
@@ -107,30 +112,39 @@ def test_parse_unknown_format():
 
 def test_filter_deny_pattern_drops_tagged_event():
     events = make_events([(0, "u1", "a1", "bot-crawler"), (1, "u2", "a2")])
-    kept = filter_events(event_table(events), FilterRules(agent_deny_patterns=("bot",)))
-    assert table_events(kept) == [events[1]]
+    kept = filter_events(event_groups(events), FilterRules(agent_deny_patterns=("bot",)))
+    assert group_events(kept) == {"u2": [events[1]]}
+
+
+def test_filter_drops_a_user_left_without_events():
+    # u1's every event is denied; sessionize would fail on an empty group.
+    events = make_events([(0, "u1", "a1", "bot"), (1, "u2", "a2"), (2, "u1", "a3", "bot-2"),
+                          (3, "u2", "a1", "human")])
+    kept = filter_events(event_groups(events), FilterRules(agent_deny_patterns=("bot",)))
+    assert (len(kept), list(kept.groups)) == (2, ["u2"])
+    assert group_events(kept) == {"u2": [events[1], events[3]]}
+    assert table_rows(sessionize_summaries(kept, 1800)) == [(0, "u2", 1000, 3000, 2)]
 
 
 def test_filter_empty_rules_identity():
-    table = event_table(make_events([(0, "u1", "a1"), (1, "u2", "a2", "bot")]))
-    assert filter_events(table, FilterRules()) == table
+    table = event_groups(make_events([(0, "u1", "a1"), (1, "u2", "a2", "bot")]))
+    assert filter_events(table, FilterRules()) is table
 
 
 def test_filter_preserves_subsequence_order():
     events = make_events(
         [(t, f"u{t}", f"a{t}", "spider" if t in (2, 5, 8) else None) for t in range(10)]
     )
-    kept = filter_events(event_table(events), FilterRules(agent_deny_patterns=("spider",)))
+    kept = filter_events(event_groups(events), FilterRules(agent_deny_patterns=("spider",)))
     assert len(kept) == 7
-    # order-preserving subsequence of the input (timestamps are unique)
-    it = iter(events)
-    assert all(any(e == k for e in it) for k in table_events(kept))
+    # each user's order-preserving subsequence of the input
+    assert group_events(kept) == by_user(e for e in events if e.source_tag != "spider")
 
 
 def test_filter_item_allow_pattern():
-    events = event_table(make_events([(0, "u1", "paper-9"), (1, "u1", "style.css")]))
+    events = event_groups(make_events([(0, "u1", "paper-9"), (1, "u1", "style.css")]))
     kept = filter_events(events, FilterRules(item_allow_pattern=r"^paper-"))
-    assert kept.item_id == ["paper-9"]
+    assert kept.groups["u1"][1] == ["paper-9"]
 
 
 def test_filter_rules_validate_patterns():
@@ -163,15 +177,15 @@ def test_sessionize_gap_equal_to_threshold_stays_together():
     events = make_events([(0, "u1", "a"), (1800, "u1", "b"), (3601, "u1", "c")])
     sessions = sessionize(events, 1800)
     assert [len(s.events) for s in sessions] == [2, 1]
-    assert list(sessionize_summaries(event_table(events), 1800).end_ms) == [1_800_000, 3_601_000]
+    assert list(sessionize_summaries(event_groups(events), 1800).end_ms) == [1_800_000, 3_601_000]
 
 
 def test_sessionize_counting_policy():
     events = make_events([(0, "u1", "a"), (10, "u1", "a"), (20, "u1", "b")])
     assert sessionize(events, 1800)[0].k_items == 2
     assert sessionize(events, 1800, count_policy="raw")[0].k_items == 3
-    assert sessionize_summaries(event_table(events), 1800).k_items == [2]
-    assert sessionize_summaries(event_table(events), 1800, "raw").k_items == [3]
+    assert sessionize_summaries(event_groups(events), 1800).k_items == [2]
+    assert sessionize_summaries(event_groups(events), 1800, "raw").k_items == [3]
 
 
 def test_sessionize_numbers_by_global_start():
@@ -182,7 +196,7 @@ def test_sessionize_numbers_by_global_start():
         (1, "u2", 100_000),
         (2, "u1", 5_000_000),
     ]
-    table = sessionize_summaries(event_table(events), 1800)
+    table = sessionize_summaries(event_groups(events), 1800)
     assert (table.user_hash, list(table.start_ms)) == (["u1", "u2", "u1"], [0, 100_000, 5_000_000])
 
 
@@ -190,16 +204,16 @@ def test_sessionize_rejects_bad_gap():
     with pytest.raises(ValueError):
         sessionize([], 0)
     with pytest.raises(ConfigError, match="gap_seconds must be positive"):
-        sessionize_summaries(EventTable(array("q"), [], [], []), 0)
+        sessionize_summaries(EventGroups({}, 0), 0)
     with pytest.raises(ConfigError, match="gap_seconds must be finite in milliseconds, got inf"):
-        sessionize_summaries(EventTable(array("q"), [], [], []), math.inf)
+        sessionize_summaries(EventGroups({}, 0), math.inf)
 
 
 def test_sessionize_unknown_policy():
     with pytest.raises(ConfigError):
         sessionize([], 1800, count_policy="weird")
     with pytest.raises(ConfigError, match="unknown count policy 'weird'"):
-        sessionize_summaries(EventTable(array("q"), [], [], []), 1800, "weird")
+        sessionize_summaries(EventGroups({}, 0), 1800, "weird")
 
 
 _event_lists = st.lists(
@@ -279,7 +293,7 @@ def test_escaped_lone_surrogate_is_a_diagnostic(field, text):
     bad = good.replace({"user": "u1", "item": "a1"}[field], text)
     pair = good.replace("u1", "\\ud83d\\ude00")  # an escaped pair is one valid character
     events, diags = parse_events([good, bad, pair], "b")
-    assert events.user_hash == ["u1", "\U0001f600"]
+    assert list(events.groups) == ["u1", "\U0001f600"]
     assert [str(d) for d in diags] == ["line 2: user and item must be valid Unicode text"]
 
 
@@ -327,14 +341,14 @@ _PATTERNS = st.sampled_from(
 def test_filter_matches_uncached_oracle(raw, deny, allow):
     events = [LogEvent(*row) for row in raw]
     rules = FilterRules(tuple(deny), allow)
-    kept = filter_events(event_table(events), rules)
-    expected = oracle_filter_events(events, rules)
-    assert table_events(kept) == expected
-    # the same rows in the same order, not merely equal values: every kept
-    # field is the very object of the oracle's event
-    for column, name in [(kept.user_hash, "user_hash"), (kept.item_id, "item_id"),
-                         (kept.source_tag, "source_tag")]:
-        assert [id(x) for x in column] == [id(getattr(e, name)) for e in expected]
+    kept = filter_events(event_groups(events), rules)
+    expected = by_user(oracle_filter_events(events, rules))
+    assert group_events(kept) == expected
+    # the same events in the same order, not merely equal values: every kept
+    # item and tag is the very object of the oracle's event
+    for user, (_, items, tags) in kept.groups.items():
+        assert [id(x) for x in items] == [id(e.item_id) for e in expected[user]]
+        assert [id(x) for x in tags] == [id(e.source_tag) for e in expected[user][: len(tags)]]
 
 
 def test_filter_searches_each_distinct_string_once(monkeypatch):
@@ -359,8 +373,10 @@ def test_filter_searches_each_distinct_string_once(monkeypatch):
         for item, tag in [("/a/1", "human"), ("/a/2", "Googlebot"), ("/x", "human"),
                           ("/a/1", None), ("/a/2", "spider"), ("/a/1", "")]
     ]
-    kept = filter_events(event_table(events), rules)
-    assert table_events(kept) == oracle_filter_events(events, FilterRules(("bot", "spider"), "^/a/"))
+    kept = filter_events(event_groups(events), rules)
+    assert group_events(kept) == by_user(
+        oracle_filter_events(events, FilterRules(("bot", "spider"), "^/a/"))
+    )
     assert len(calls) == len(set(calls))
     items = {text for pat, text in calls if pat == "^/a/"}
     assert items == {"/a/1", "/a/2", "/x"}
@@ -511,24 +527,74 @@ _RECORD_LINES = st.one_of(
 
 @given(st.lists(_RECORD_LINES, max_size=25))
 def test_parse_records_matches_oracle(lines):
-    table, diags = _parse_records(lines)
+    table, diags = parse_events(lines, "b")
     want_events, want_diags = oracle_parse_records(lines)
-    events = table_events(table)
-    assert events == want_events
-    assert [type(e.ts_ms) for e in events] == [type(e.ts_ms) for e in want_events]
+    want = by_user(want_events)
+    assert group_events(table) == want
     assert [str(d) for d in diags] == [str(d) for d in want_diags]
-    # equal agents are one object, as users and items are
-    assert [id(t) for t in table.source_tag] == [id(e.source_tag) for e in want_events]
+    # equal agents are one object, as items are
+    for user, (_, items, tags) in table.groups.items():
+        assert [id(i) for i in items] == [id(e.item_id) for e in want[user]]
+        assert [id(t) for t in tags] == [id(e.source_tag) for e in want[user][: len(tags)]]
 
 
 def test_deeply_nested_record_is_a_diagnostic():
     lines = ["[" * 100_000 + "\n", "[" * 1000 + "]" * 1000 + "\n", '{"a": ' * 1000 + "\n",
              '{"ts": 0, "user": "u1", "item": "a1"}\n']
     table, diags = parse_events(lines, "b")
-    assert table_events(table) == [LogEvent(0, "u1", "a1")]
+    assert group_events(table) == {"u1": [LogEvent(0, "u1", "a1")]}
     assert [str(d) for d in diags] == [
         f"line {n}: invalid record: nested too deeply" for n in (1, 2, 3)
     ]
+
+
+def _frames() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def _deeper(n, call):
+    return call() if n == 0 else _deeper(n - 1, call)
+
+
+def _nested_lines(depth):
+    """A valid record and an array, each nested depth levels deep; brackets
+    inside a string do not count."""
+    inner = "[" * (depth - 1) + "]" * (depth - 1)
+    return [f'{{"ts": 0, "user": "u1", "item": "a1", "x": {inner}, "s": "{{[[["}}\n',
+            "[" * depth + "]" * depth + "\n"]
+
+
+@pytest.mark.parametrize("depth", [
+    MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 2 * MAX_NESTING, 985, 990,
+])
+def test_nesting_cap_depends_on_the_line_alone(depth):
+    lines = _nested_lines(depth)
+    shallow = parse_events(lines, "b")
+    # Leave the stack just enough room for the cap.
+    room = sys.getrecursionlimit() - _frames() - MAX_NESTING - 25
+    assert room > 500
+    deep = _deeper(room, lambda: parse_events(lines, "b"))
+    assert deep == shallow
+    events, diags = shallow
+    if depth <= MAX_NESTING:
+        assert group_events(events) == {"u1": [LogEvent(0, "u1", "a1")]}
+        assert [str(d) for d in diags] == ["line 2: record is not an object"]
+    else:
+        assert group_events(events) == {}
+        assert [str(d) for d in diags] == [
+            f"line {n}: invalid record: nested too deeply" for n in (1, 2)
+        ]
+
+
+@pytest.mark.parametrize("text, depth", [
+    ("[]", 1), ("[[1], {}]", 2), ('{"a": "[[["}', 1), ('["\\"[", []]', 2),
+    ('["[[[', 1), ("[[[[", 4), ("x", 0), ("[[]][]", 2),
+])
+def test_nesting_skips_strings(text, depth):
+    assert events_module._nesting(text) == depth
 
 
 def test_int_ts_outside_int64_is_a_diagnostic():
@@ -539,7 +605,7 @@ def test_int_ts_outside_int64_is_a_diagnostic():
     lines += ['{"ts": 1' + "0" * 5000 + ', "user": "u1", "item": "a1"}\n',
               '{"ts": 0, "user": "u1", "item": "a1", "n": ' + "9" * 4301 + "}\n"]
     table, diags = parse_events(lines, "b")
-    assert list(table.ts_ms) == [2**63 - 1, -(2**63)]
+    assert list(table.groups["u1"][0]) == [2**63 - 1, -(2**63)]
     assert [str(d) for d in diags] == [
         f"line {n}: ts outside the signed 64-bit range" for n in (2, 4, 5)
     ] + ["line 6: invalid record: integer too long", "line 7: invalid record: integer too long"]
@@ -552,9 +618,9 @@ def test_int_ts_outside_int64_is_a_diagnostic():
 def test_equal_agents_are_one_object(fmt, line):
     table, diags = parse_events([line.format(i=i) for i in range(3)], fmt)
     assert diags == []
-    first = table.source_tag[0]
-    assert first == "Mozilla/5.0 (X11) Firefox/115.0"
-    assert all(tag is first for tag in table.source_tag)
+    tags = [tag for _, _, user_tags in table.groups.values() for tag in user_tags]
+    assert len(tags) == 3 and tags[0] == "Mozilla/5.0 (X11) Firefox/115.0"
+    assert all(tag is tags[0] for tag in tags)
 
 
 def test_parse_records_keeps_few_bytes_per_event():
@@ -591,14 +657,14 @@ def test_sessionize_summaries_match_sessionize(raw, gap_s, policy):
         array("q", [s.end_ms for s in sessions]),
         [s.k_items for s in sessions],
     )
-    assert sessionize_summaries(event_table(events), gap_s, policy) == expected
+    assert sessionize_summaries(event_groups(events), gap_s, policy) == expected
 
 
 def _check_against_oracle(events, gap_s=1800):
     for policy in COUNT_POLICIES:
         want = [(s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
                 for s in sessionize(events, gap_s, count_policy=policy)]
-        assert table_rows(sessionize_summaries(event_table(events), gap_s, policy)) == want
+        assert table_rows(sessionize_summaries(event_groups(events), gap_s, policy)) == want
 
 
 def test_sessionize_summaries_time_ordered_log():
@@ -607,7 +673,7 @@ def test_sessionize_summaries_time_ordered_log():
     events = make_events([(t, f"u{t // 300 % 3}", f"i{t % 7}") for t in times])
     _check_against_oracle(events)
     # Each user has a request every 900 s within a burst, and two bursts.
-    assert len(sessionize_summaries(event_table(events), 1800)) == 6
+    assert len(sessionize_summaries(event_groups(events), 1800)) == 6
 
 
 def test_sessionize_summaries_one_user_out_of_order():
@@ -618,7 +684,7 @@ def test_sessionize_summaries_one_user_out_of_order():
     _check_against_oracle(events)
     # Only u2 is out of order (20 s before 15 s); its first session is
     # items b, d, b.
-    assert table_rows(sessionize_summaries(event_table(events), 1800)) == [
+    assert table_rows(sessionize_summaries(event_groups(events), 1800)) == [
         (0, "u1", 0, 0, 1), (1, "u2", 10_000, 20_000, 2), (2, "u3", 4_000_000, 4_000_000, 1),
         (3, "u2", 4_990_000, 4_990_000, 1), (4, "u1", 5_000_000, 5_000_000, 1),
         (5, "u1", 9_000_000, 9_000_000, 1),
@@ -631,7 +697,7 @@ def test_sessionize_summaries_equal_timestamps():
         (100, "u2", "c"), (100, "u2", "c"), (0, "u3", "z"),
     ])
     _check_against_oracle(events)
-    table = sessionize_summaries(event_table(events), 1800)
+    table = sessionize_summaries(event_groups(events), 1800)
     # Equal starts are ordered by user.
     assert table_rows(table) == [
         (0, "u1", 0, 0, 2), (1, "u2", 0, 100_000, 2), (2, "u3", 0, 0, 1)
@@ -645,7 +711,7 @@ def test_sessionize_summaries_int64_extremes():
         (hi - 10, "u1", "d"), (lo, "u3", "a"), (-1, "u3", "b"),
     ]]
     _check_against_oracle(events)
-    assert list(sessionize_summaries(event_table(events), 1800).start_ms) == [lo, lo, -1, 0, hi - 10]
+    assert list(sessionize_summaries(event_groups(events), 1800).start_ms) == [lo, lo, -1, 0, hi - 10]
 
 
 # --- any bytes in, diagnostics out -----------------------------------------------
@@ -686,7 +752,8 @@ def test_any_bytes_parse_to_events_and_diagnostics(tmp_path_factory, fmt):
         diagnostics = sink.getvalue().splitlines()
         assert len(diagnostics) == malformed
         assert all(re.fullmatch(r"line [1-9][0-9]*: .+", d) for d in diagnostics)
-        assert all(TS_MIN_MS <= t <= TS_MAX_MS for t in events.ts_ms)
-        assert all(u and i for u, i in zip(events.user_hash, events.item_id))
+        for user, (ts, items, _) in events.groups.items():
+            assert user and all(items)
+            assert all(TS_MIN_MS <= t <= TS_MAX_MS for t in ts)
 
     check()

@@ -6,16 +6,19 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from array import array
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import (
-    event_table,
+    by_user,
+    event_groups,
+    group_events,
     make_events,
     oracle_read_sessions_csv,
     oracle_write_classifications_csv,
@@ -25,13 +28,12 @@ from helpers import (
     oracle_write_sessions_csv,
     oracle_write_transitions_csv,
     sessionize,
-    table_events,
     table_rows,
 )
 from logcompass import pipeline
 from logcompass.blocks import BlockMetrics
 from logcompass.errors import InputError
-from logcompass.events import EventTable, FilterRules, LogEvent
+from logcompass.events import COUNT_POLICIES, EventGroups, FilterRules, LogEvent
 from logcompass.pipeline import (
     ARTIFACT_FILES,
     GRAPH_FILES,
@@ -67,6 +69,7 @@ from logcompass.taxonomy import (
     Tendency,
     Triplet,
 )
+from logcompass.timeutil import format_timestamp_s
 
 
 @pytest.fixture()
@@ -269,13 +272,51 @@ def test_parse_log_files_appends_inputs_in_order(tmp_path):
                       encoding="utf-8")
     sink = io.StringIO()
     events, parsed, malformed = parse_log_files([first, second], "a", sink)
-    assert table_events(events) == [
-        LogEvent(1000, "u1", "a1"), LogEvent(2000, "u2", "a2"), LogEvent(3000, "u1", "a3", "bot")
-    ]
+    assert group_events(events) == {
+        "u1": [LogEvent(1000, "u1", "a1"), LogEvent(3000, "u1", "a3", "bot")],
+        "u2": [LogEvent(2000, "u2", "a2")],
+    }
     assert (parsed, malformed) == (5, 2)
     # diagnostics are numbered per file
     assert sink.getvalue() == "line 2: expected 3 or 4 fields, got 1\nline 1: expected 3 or 4 fields, got 1\n"
-    assert parse_log_files([], "a", sink) == (EventTable(array("q"), [], [], []), 0, 0)
+    assert parse_log_files([], "a", sink) == (EventGroups({}, 0), 0, 0)
+
+
+def _log_line(event: LogEvent, fmt: str) -> str:
+    ts, user, item, tag = event
+    if fmt == "a":
+        return ",".join([format_timestamp_s(ts), user, item] + ([tag] if tag else [])) + "\n"
+    return json.dumps({"ts": ts, "user": user, "item": item, **({"agent": tag} if tag else {})}) + "\n"
+
+
+@given(
+    st.lists(st.builds(LogEvent, st.integers(0, 20_000).map(lambda s: s * 1000),
+                       st.sampled_from(["u1", "u2", "u3"]), st.sampled_from(["i1", "i2", "i3"]),
+                       st.sampled_from([None, "bot", "app"])), max_size=40),
+    st.lists(st.integers(0, 40), max_size=2),
+    st.sampled_from(["a", "b"]),
+    st.integers(1, 3_000),
+    st.sampled_from(COUNT_POLICIES),
+)
+# u1's first file holds no tag, so its tag column starts in the second.
+@example([LogEvent(0, "u1", "i1"), LogEvent(1000, "u2", "i2", "bot"), LogEvent(2000, "u1", "i3", "bot")],
+         [2], "a", 1800, "raw")
+def test_parse_log_files_groups_events_across_files(raw, cuts, fmt, gap_s, policy):
+    # 1-3 files, cut anywhere in the event sequence; each user's events
+    # keep their order across files, so sessions match the LogEvent oracle.
+    bounds = [0, *sorted(min(c, len(raw)) for c in cuts), len(raw)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"part{i}.log" for i in range(len(bounds) - 1)]
+        for path, lo, hi in zip(paths, bounds, bounds[1:]):
+            path.write_text("".join(_log_line(e, fmt) for e in raw[lo:hi]), encoding="utf-8")
+        events, parsed, malformed = parse_log_files(paths, fmt, io.StringIO())
+    assert (len(events), parsed, malformed) == (len(raw), len(raw), 0)
+    assert group_events(events) == by_user(raw)
+    want = [(s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
+            for s in sessionize(raw, gap_s, count_policy=policy)]
+    assert table_rows(sessionize_summaries(events, gap_s, policy)) == want
+    # sessionize consumed the groups; len() is still the event count
+    assert (events.groups, len(events)) == ({}, len(raw))
 
 
 def test_sessionize_summaries_matches_full_sessionize():
@@ -283,7 +324,7 @@ def test_sessionize_summaries_matches_full_sessionize():
         [(0, "u1", "a"), (60, "u1", "a"), (4000, "u1", "b"), (30, "u2", "c")]
     )
     sessions = sessionize(events, 1800)
-    summaries = sessionize_summaries(event_table(events), 1800)
+    summaries = sessionize_summaries(event_groups(events), 1800)
     assert [
         (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items) for s in sessions
     ] == table_rows(summaries)
@@ -309,10 +350,10 @@ def test_block_user_map(tmp_path):
 
 
 def test_session_table_len_and_truth():
-    empty = sessionize_summaries(EventTable(array("q"), [], [], []), 1800)
+    empty = sessionize_summaries(EventGroups({}, 0), 1800)
     assert len(empty) == 0 and not empty
     assert empty == SessionTable([], array("q"), array("q"), [])
-    table = sessionize_summaries(event_table(make_events([(0, "u1", "a"), (5, "u2", "b")])), 1800)
+    table = sessionize_summaries(event_groups(make_events([(0, "u1", "a"), (5, "u2", "b")])), 1800)
     assert len(table) == 2 and table
 
 
@@ -712,6 +753,20 @@ def test_field_over_a_lowered_csv_limit(tmp_path, segment):
     finally:
         csv.field_size_limit(limit)
     assert csv.field_size_limit() == limit
+
+
+def test_faulty_row_before_an_over_limit_field_is_named(tmp_path):
+    # Row 100 fails the k_items check, and row 200 holds a field over csv's
+    # default limit of 131,072 characters; both fall in one csv chunk.
+    lines = [_HEADER]
+    for i in range(1200):
+        user = '"' + "x" * 140_000 + '"' if i == 200 else f"u{i % 7}"
+        lines.append(f"{i},{user},{i},{i},{0 if i == 100 else 1}")
+    path = tmp_path / "sessions.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _agrees_with_oracle(path)
+    with pytest.raises(InputError, match=r"k_items < 1 in row \['100', "):
+        read_sessions_csv(path)
 
 
 @pytest.mark.parametrize("n, segment, terminated", [

@@ -5,7 +5,7 @@ import pytest
 
 from logcompass.blocks import compute_variety_series
 from logcompass.errors import ConfigError
-from helpers import sessionize, table_events
+from helpers import by_user, group_events, sessionize
 from logcompass.events import parse_events
 from logcompass.synth import (
     SplitMix64,
@@ -87,7 +87,7 @@ def test_round_trip_recovers_sessions_exactly():
     buf.seek(0)
     events, diags = parse_events(buf, "a")
     assert diags == []
-    sessions = sessionize(table_events(events), 1800)
+    sessions = sessionize([e for evs in group_events(events).values() for e in evs], 1800)
     assert len(sessions) == len(planned) == 200
     for got, want in zip(sessions, planned):
         assert got.user_hash == want.user_hash
@@ -102,7 +102,7 @@ def test_generate_events_matches_written_log(tmp_path):
     write_log(profile, path)
     with open(path, encoding="utf-8") as fh:
         parsed, _ = parse_events(fh, "a")
-    assert table_events(parsed) == list(generate_events(profile))
+    assert group_events(parsed) == by_user(generate_events(profile))
 
 
 def test_drift_q_scales_block_volume():

@@ -4,6 +4,7 @@ checks keep those names, and the layers their spans feed, in step with the
 code."""
 
 import importlib
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -76,3 +77,28 @@ def test_run_reads_no_artifact_back(job, tmp_path, capsys):
     assert "pipeline.write_sessions" in names
     assert not {name for name in names if name.startswith("pipeline.read_")}
     assert "blocks: 4 total, 3 classified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("filters", [None, {"item_allow_pattern": "[0-4]$"}])
+def test_ingest_counts_survive_consumption(job, tmp_path, capsys, filters):
+    # sessionize pops the groups it is given, and the count lambdas read
+    # len() of a stage's arguments after the call: len() must stay the
+    # number of events, so each stage's rows in are the last one's rows out.
+    tracing = importlib.import_module("tracing")
+    log, out = tmp_path / "log.csv", tmp_path / "out"
+    assert main(["synth", "--out", str(log), "--seed", "4",
+                 "--sessions-per-block", "20", "--blocks", "4"]) == 0
+    argv = ["run", "--input", str(log), "--block-size", "20", "--out", str(out)]
+    if filters:
+        (tmp_path / "filters.json").write_text(json.dumps(filters), encoding="utf-8")
+        argv += ["--filters", str(tmp_path / "filters.json")]
+    tr = tracing.Tracer()
+    with job.traced_calls(tr):
+        assert main(argv) == 0
+    counts = {span["name"]: span["counts"] for span in tr.spans}
+    parsed, kept = counts["events.filter"]["rows_in"], counts["events.filter"]["rows_out"]
+    assert counts["events.parse"]["events_out"] == parsed > 0
+    assert counts["pipeline.sessionize"]["rows_in"] == kept > 0
+    assert (kept < parsed) == bool(filters)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert (report["events"]["parsed"], report["events"]["kept"]) == (parsed, kept)
