@@ -9,20 +9,30 @@ Two line-oriented input formats are supported:
 Malformed lines never abort a parse; each one yields a diagnostic instead.
 Events are grouped by user, each user's in input order, which is all that
 ``pipeline.sessionize_summaries`` needs to build sessions.
+
+Format a is read a segment of whole lines at a time. A segment of valid
+three-field lines is split by one ``str.split`` and its timestamps are
+converted by a ``map()`` of ``fromisoformat``, with no Python function
+called per line; a segment that fails any check (a tag, a bad or
+mixed-kind timestamp, a CR, an empty field, text that is not UTF-8) is
+parsed line by line instead, by ``_delimited_event``, the one definition
+of the format's rules, so events, diagnostics and line numbers do not
+depend on the path taken. Format b is parsed line by line.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat, zip_longest
-from typing import Iterable, NamedTuple
+from itertools import accumulate, chain, compress, islice, repeat, zip_longest
+from typing import IO, Iterable, NamedTuple
 
 from .errors import ConfigError
-from .timeutil import parse_timestamp_ms
+from .timeutil import parse_timestamp_ms, parse_timestamps_ms
 
 LOG_FORMATS = ("a", "b")
 # The range of array('q'), which holds every timestamp column.
@@ -34,6 +44,11 @@ COUNT_POLICIES = ("distinct", "raw")
 # makes whether a line is refused depend on the line alone.
 MAX_NESTING = 200
 DEFAULT_GAP_SECONDS = 1800.0
+# The format-a reader's segments: lines per segment of an iterable, and
+# characters per segment of a file. Small segments keep the columns of one
+# segment well below the memory of the groups they fill.
+_SEGMENT_LINES = 256
+_SEGMENT_CHARS = 8192
 
 
 class LogEvent(NamedTuple):
@@ -113,16 +128,77 @@ def parse_events(
     diagnostics.
 
     Each user's events keep their input order; a malformed line produces one
-    diagnostic and no event.
+    diagnostic and no event. Format a is read a segment of lines at a time:
+    a segment of valid three-field lines is split and converted in a few
+    passes over the whole segment, and any other segment line by line, to
+    the same events and diagnostics.
     """
     if log_format not in LOG_FORMATS:
         raise ConfigError(f"unknown log format {log_format!r} (expected one of {LOG_FORMATS})")
-    event_of = _delimited_event if log_format == "a" else _record_event
     groups: dict[str, Group] = {}
     diags: list[ParseDiagnostic] = []
+    if log_format == "b":
+        _parse_lines(lines, _record_event, 1, groups, diags)
+        return _event_groups(groups), diags
+    lines = iter(lines)
+    line_no = 1
+    while batch := list(islice(lines, _SEGMENT_LINES)):
+        text = "".join(batch)
+        # The batch's elements are the text's lines only if the text has as
+        # many lines, and each element but an unterminated last ends in LF.
+        lfs = text.count("\n")
+        cols = None
+        if lfs + (not text.endswith("\n")) == len(batch) and all(
+            map(str.endswith, islice(batch, lfs), repeat("\n"))
+        ):
+            cols = _delimited_columns(text)
+        if cols is None:
+            _parse_lines(batch, _delimited_event, line_no, groups, diags)
+        else:
+            _add_columns(groups, *cols)
+        line_no += len(batch)
+    return _event_groups(groups), diags
+
+
+def parse_log_text(fh: IO[str], log_format: str) -> tuple[EventGroups, list[ParseDiagnostic]]:
+    """parse_events over the lines of a text file opened with universal
+    newlines, as open() does by default.
+
+    Format a is read _SEGMENT_CHARS characters at a time, carried on to the
+    end of a line; such a segment is whole lines split at LF alone, which is
+    how the file iterates, so no line needs to be made a str of its own.
+    """
+    if log_format != "a":
+        return parse_events(fh, log_format)
+    groups: dict[str, Group] = {}
+    diags: list[ParseDiagnostic] = []
+    line_no = 1
+    while text := fh.read(_SEGMENT_CHARS) + fh.readline():
+        cols = _delimited_columns(text)
+        if cols is None:
+            # StringIO splits at LF only, as the file did after translating
+            # its line ends.
+            _parse_lines(io.StringIO(text), _delimited_event, line_no, groups, diags)
+            line_no += text.count("\n") + (text[-1] != "\n")
+        else:
+            _add_columns(groups, *cols)
+            line_no += len(cols[0])
+    return _event_groups(groups), diags
+
+
+def _event_groups(groups: dict[str, Group]) -> EventGroups:
+    return EventGroups(groups, sum(len(g[0]) for g in groups.values()))
+
+
+def _parse_lines(
+    lines: Iterable[str], event_of, first_line_no: int, groups: dict[str, Group], diags: list[ParseDiagnostic]
+) -> None:
+    """Add the events of lines, one line at a time, to groups, and a
+    diagnostic for each malformed line; the lines are numbered from
+    first_line_no."""
     intern = sys.intern
     group_of = groups.get
-    for line_no, raw in enumerate(lines, 1):
+    for line_no, raw in enumerate(lines, first_line_no):
         if not raw.isascii() and not _is_utf8(raw):
             diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
             continue
@@ -143,7 +219,55 @@ def parse_events(
             tags.append(intern(tag))
         ts_col.append(ts)
         items.append(intern(item))
-    return EventGroups(groups, sum(len(g[0]) for g in groups.values())), diags
+
+
+def _delimited_columns(text: str) -> tuple[list[int], list[str], list[str]] | None:
+    """The (ts_ms, user_hash, item_id) columns of text's format-a lines, if
+    every line is valid and has three fields; else None.
+
+    text is whole lines, each ending at LF (the last may have none). Where
+    this returns columns, _delimited_event reads each line to the same
+    event; on None, the caller parses the segment line by line. With no CR,
+    a line ends only at LF and a field only at a comma. A comma put after
+    each LF ends each item field with that LF, so one str.split yields
+    every field; given 3n + 1 fields for n LFs, the LFs all fall in item
+    fields exactly when every line has three fields.
+    """
+    if "\r" in text or not (text.isascii() or _is_utf8(text)):
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    split = text.replace("\n", "\n,")
+    n = len(split) - len(text)
+    fields = split.split(",")
+    if len(fields) != 3 * n + 1:
+        return None
+    items = "".join(fields[2::3]).split("\n")
+    if len(items) != n + 1:
+        return None
+    del items[n]  # the empty text after the last LF
+    users = fields[1::3]
+    if "" in users or "" in items:
+        return None
+    try:
+        return parse_timestamps_ms(fields[0:-1:3]), users, items
+    except (ValueError, TypeError):
+        # The per-line parser words the diagnostic.
+        return None
+
+
+def _add_columns(groups: dict[str, Group], ms: list[int], users: list[str], items: list[str]) -> None:
+    """Add untagged events, given as columns, to groups, as _parse_lines
+    would add them one at a time."""
+    group_of = groups.get
+    for ts, user, item in zip(ms, users, map(sys.intern, items)):
+        group = group_of(user)
+        if group is None:
+            group = groups[user] = (array("q"), [], [])
+        group[0].append(ts)
+        group[1].append(item)
+        if group[2]:
+            group[2].append(None)
 
 
 def _is_utf8(line: str) -> bool:

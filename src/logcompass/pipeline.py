@@ -38,7 +38,7 @@ from .events import (
     TS_MAX_MS,
     TS_MIN_MS,
     filter_events,
-    parse_events,
+    parse_log_text,
 )
 from .graphio import GRAPH_FORMATS, export_graph
 from .routes import (
@@ -243,7 +243,7 @@ def parse_log_files(
             # Bytes that are not UTF-8 decode to lone surrogates, which the
             # parser reports per line as "invalid UTF-8".
             with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                got, diags = parse_events(fh, log_format)
+                got, diags = parse_log_text(fh, log_format)
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
         for user, group in got.groups.items():

@@ -47,7 +47,11 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Integer in [0, n) via the multiply-high reduction."""
-        return (self.next_u64() * n) >> 64
+        # next_u64 inline: the generator draws most of its values here.
+        z = self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4B5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) * n) >> 64
 
     def unit(self) -> float:
         """Float in [0, 1)."""
@@ -72,6 +76,9 @@ BASE_EPOCH_S = 1_614_556_800  # 2021-03-01T00:00:00Z
 EVENT_SPACING_S = 30
 SESSION_GAP_BUFFER_S = 1801  # strictly beyond the default 1800 s session gap
 START_JITTER_S = 600
+# Entries per cache of user and item texts in generate_sessions, so that its
+# memory does not grow with n_users or n_items.
+_TEXT_CACHE_SIZE = 8192
 
 
 def parse_k_distribution(name: str) -> tuple[str, int, int]:
@@ -101,11 +108,22 @@ class SynthProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_users", "n_items", "sessions_per_block", "n_blocks"):
-            if getattr(self, name) < 1:
+        # A profile file can hold any JSON value, so each field's type is
+        # checked; a bool is an int to Python but not a count here.
+        for name in ("n_users", "n_items", "sessions_per_block", "n_blocks", "seed"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("drift_k", "drift_q"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not self.drift_k > 0 or not self.drift_q > 0:
             raise ConfigError("drift factors must be positive")
+        if not isinstance(self.k_distribution, str):
+            raise ConfigError(f"k_distribution must be text, got {self.k_distribution!r}")
         kind, lo, hi = parse_k_distribution(self.k_distribution)
         if kind == "uniform-range" and not 1 <= lo <= hi:
             raise ConfigError(f"uniform-range needs 1 <= lo <= hi, got ({lo},{hi})")
@@ -114,11 +132,17 @@ class SynthProfile:
             "heavy-tail": _HEAVY_TAIL_MAX_K,
             "uniform-range": hi,
         }[kind]
-        if self.drift_k == 1.0:
-            need = base_max
-        else:
-            worst = max(self.drift_k ** b for b in range(self.n_blocks))
-            need = math.ceil(base_max * worst) + 1
+        try:
+            if self.drift_k == 1.0:
+                need = base_max
+            else:
+                worst = max(self.drift_k ** b for b in range(self.n_blocks))
+                need = math.ceil(base_max * worst) + 1
+            # The last block's session count, as generate_sessions rounds it;
+            # with drift_q above 1 it is the largest.
+            round(self.sessions_per_block * self.drift_q ** (self.n_blocks - 1))
+        except OverflowError:
+            raise ConfigError("drift factors overflow over the profile's blocks") from None
         if need > self.n_items:
             raise ConfigError(
                 f"profile may draw up to {need} distinct items per session "
@@ -146,7 +170,11 @@ def _draw_k(rng: SplitMix64, kind: str, lo: int, hi: int) -> int:
 def generate_sessions(profile: SynthProfile) -> Iterator[PlannedSession]:
     """Planned sessions in global start order, one block after another."""
     rng = SplitMix64(profile.seed)
+    below = rng.below
     kind, lo, hi = parse_k_distribution(profile.k_distribution)
+    n_users, n_items = profile.n_users, profile.n_items
+    user_texts: dict[int, str] = {}
+    item_texts: dict[int, str] = {}
     t_s = BASE_EPOCH_S
     for b in range(profile.n_blocks):
         q = max(1, round(profile.sessions_per_block * profile.drift_q ** b))
@@ -162,18 +190,30 @@ def generate_sessions(profile: SynthProfile) -> Iterator[PlannedSession]:
                     k += 1
                 if k < 1:
                     k = 1
-            user = f"u{rng.below(profile.n_users):05d}"
+            u = below(n_users)
+            user = user_texts.get(u)
+            if user is None:
+                user = f"u{u:05d}"
+                if len(user_texts) < _TEXT_CACHE_SIZE:
+                    user_texts[u] = user
             chosen: list[int] = []
             seen: set[int] = set()
             while len(chosen) < k:
-                idx = rng.below(profile.n_items)
+                idx = below(n_items)
                 if idx not in seen:
                     seen.add(idx)
                     chosen.append(idx)
-            items = tuple(f"i{idx:06d}" for idx in chosen)
-            yield PlannedSession(user, t_s * 1000, items)
+            items = []
+            for idx in chosen:
+                item = item_texts.get(idx)
+                if item is None:
+                    item = f"i{idx:06d}"
+                    if len(item_texts) < _TEXT_CACHE_SIZE:
+                        item_texts[idx] = item
+                items.append(item)
+            yield PlannedSession(user, t_s * 1000, tuple(items))
             last_s = t_s + (k - 1) * EVENT_SPACING_S
-            t_s = last_s + SESSION_GAP_BUFFER_S + rng.below(START_JITTER_S)
+            t_s = last_s + SESSION_GAP_BUFFER_S + below(START_JITTER_S)
 
 
 def generate_events(profile: SynthProfile) -> Iterator[LogEvent]:

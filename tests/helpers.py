@@ -13,7 +13,8 @@ from typing import Iterable, Iterator, Sequence
 
 from logcompass.blocks import BlockMetrics
 from logcompass.errors import ConfigError, InputError
-from logcompass.events import COUNT_POLICIES, DEFAULT_GAP_SECONDS, EventGroups, LogEvent
+from logcompass import events as events_module
+from logcompass.events import COUNT_POLICIES, DEFAULT_GAP_SECONDS, EventGroups, LogEvent, ParseDiagnostic
 from logcompass.routes import position_community
 from logcompass.taxonomy import NODE_BY_LABEL
 
@@ -37,6 +38,30 @@ def event_groups(events: Iterable[LogEvent]) -> EventGroups:
         group[1].append(item)
         group[2].append(tag)
     return EventGroups(groups, sum(len(g[0]) for g in groups.values()))
+
+
+def oracle_parse_events(lines: Iterable[str], log_format: str = "a"):
+    """The per-line parser: each line through the format's event function,
+    one at a time, into the same groups and diagnostics as parse_events."""
+    event_of = events_module._delimited_event if log_format == "a" else events_module._record_event
+    groups: dict = {}
+    diags = []
+    for line_no, raw in enumerate(lines, 1):
+        if not raw.isascii() and not events_module._is_utf8(raw):
+            diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
+            continue
+        event = event_of(raw)
+        if type(event) is str:
+            diags.append(ParseDiagnostic(line_no, event))
+            continue
+        ts, user, item, tag = event
+        ts_col, items, tags = groups.setdefault(user, (array("q"), [], []))
+        if tags or tag:
+            tags.extend(repeat(None, len(items) - len(tags)))
+            tags.append(tag or None)
+        ts_col.append(ts)
+        items.append(item)
+    return EventGroups(groups, sum(len(g[0]) for g in groups.values())), diags
 
 
 def by_user(events: Iterable[LogEvent]) -> dict[str, list[LogEvent]]:

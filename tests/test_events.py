@@ -6,12 +6,21 @@ import sys
 import tracemalloc
 import types
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 import logcompass.events as events_module
-from helpers import by_user, event_groups, group_events, make_events, sessionize, table_rows
+from helpers import (
+    by_user,
+    event_groups,
+    group_events,
+    make_events,
+    oracle_parse_events,
+    sessionize,
+    table_rows,
+)
 from logcompass.errors import ConfigError
 from logcompass.events import (
     COUNT_POLICIES,
@@ -26,6 +35,7 @@ from logcompass.events import (
     parse_events,
 )
 from logcompass.pipeline import SessionTable, parse_log_files, sessionize_summaries
+from logcompass.synth import SynthProfile, write_log
 from logcompass.timeutil import parse_timestamp_ms
 
 
@@ -757,3 +767,95 @@ def test_any_bytes_parse_to_events_and_diagnostics(tmp_path_factory, fmt):
             assert all(TS_MIN_MS <= t <= TS_MAX_MS for t in ts)
 
     check()
+
+
+# --- format a in segments --------------------------------------------------------
+
+_A_TIMESTAMPS = st.sampled_from([
+    "2021-03-01T10:00:00", "2021-03-01T10:00:00Z", "2021-03-01T10:00:00+05:30",
+    "2021-03-01T10:00:00-08:00", "2021-03-01T10:00:00.5Z", "2021-03-01T10:00:00.1234567",
+    "2021-03-01 10:00:00", "20210301T100000Z", "2021-W09-1T10:00:00", "2021-W091",
+    "2021-13-01T00:00:00", "10:00", "",
+])
+# \x0c and \u2028 end a line for str.splitlines, but not for a file.
+_A_FIELDS = st.sampled_from(["u1", "u2", "/i1", "/i2", "é", "x\udcff", "\ud800", "a\x0cb", "\u2028", ""])
+_A_LINES = st.one_of(
+    st.builds("{},{},{}".format, _A_TIMESTAMPS, _A_FIELDS, _A_FIELDS),
+    st.builds("{},{},{}".format, _A_TIMESTAMPS, st.sampled_from(["u1", "u2"]), st.sampled_from(["/i1", "/i2"])),
+    st.builds("{},{},{},{}".format, _A_TIMESTAMPS, _A_FIELDS, _A_FIELDS, st.sampled_from(["bot", "Mozilla", ""])),
+    st.lists(_A_FIELDS, min_size=0, max_size=5).map(",".join),
+)
+# Lines as an iterable yields them: each but the last ends in a line end.
+_A_LOG_LINES = st.tuples(
+    st.lists(st.tuples(_A_LINES, st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])), max_size=12),
+    st.sampled_from(["", "\n"]),
+    _A_LINES,
+).map(lambda t: [line + end for line, end in t[0]] + ([t[2] + t[1]] if t[1] or t[2] else []))
+
+
+@pytest.fixture(params=[1, 2, 3, None], ids=["seg1", "seg2", "seg3", "default"])
+def segment(request):
+    """The format-a segment sizes, in lines and in characters, patched to
+    the parameter; None keeps the defaults."""
+    if request.param is None:
+        yield
+        return
+    with mock.patch.object(events_module, "_SEGMENT_LINES", request.param), \
+            mock.patch.object(events_module, "_SEGMENT_CHARS", request.param):
+        yield
+
+
+def test_parse_events_segments_match_per_line_parser(segment):
+    @given(_A_LOG_LINES, st.data())
+    def check(lines, data):
+        assert parse_events(lines) == oracle_parse_events(lines)
+        # The same text cut into pieces that are not its lines.
+        text = "".join(lines)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=6)))
+        pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+        assert parse_events(pieces) == oracle_parse_events(pieces)
+
+    check()
+
+
+def test_parse_log_files_segments_match_per_line_parser(tmp_path_factory, segment):
+    @given(_A_LOG_LINES)
+    def check(lines):
+        path = tmp_path_factory.mktemp("log") / "log"
+        path.write_bytes("".join(lines).encode("utf-8", "surrogatepass"))
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            want, diags = oracle_parse_events(fh)
+        sink = io.StringIO()
+        assert parse_log_files([path], "a", sink) == (want, len(want) + len(diags), len(diags))
+        assert sink.getvalue() == "".join(f"{d}\n" for d in diags)
+
+    check()
+
+
+@pytest.mark.parametrize("lines", [
+    # Joined, these are two valid lines; as given, neither is.
+    ["a,b", ",c\nd,e,f\n"],
+    ["2021-03-01T10:00:00,u1,a", ",b\n2021-03-01T10:00:00,u2,c\n"],
+    # One element holding two valid lines is one line of five fields.
+    ["2021-03-01T10:00:00,u1,a\n2021-03-01T10:00:01,u1,b\n"],
+    # An element without its LF runs into the next.
+    ["2021-03-01T10:00:00,u1,a", "2021-03-01T10:00:01,u1,b\n"],
+    ["2021-03-01T10:00:00,u1,a\n", "", "2021-03-01T10:00:01,u1,b"],
+    ["2021-03-01T10:00:00,u1,a\n\n", "2021-03-01T10:00:01,u1,b\n"],
+])
+def test_parse_events_reads_the_lines_it_is_given(segment, lines):
+    assert parse_events(lines) == oracle_parse_events(lines)
+
+
+@pytest.mark.parametrize("terminated", [True, False])
+def test_clean_corpus_never_reaches_line_parser(tmp_path, segment, terminated):
+    path = tmp_path / "log.csv"
+    write_log(SynthProfile(n_users=7, sessions_per_block=40, n_blocks=3, seed=4), path)
+    if not terminated:
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    want = oracle_parse_events(lines)
+    with mock.patch.object(events_module, "_delimited_event", side_effect=AssertionError("_delimited_event")):
+        assert parse_events(lines) == want
+        assert parse_log_files([path], "a", io.StringIO()) == (want[0], len(lines), 0)

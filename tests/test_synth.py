@@ -1,12 +1,15 @@
+import hashlib
 import io
 import json
 
 import pytest
 
 from logcompass.blocks import compute_variety_series
+from logcompass.cli import main
 from logcompass.errors import ConfigError
 from helpers import by_user, group_events, sessionize
 from logcompass.events import parse_events
+import logcompass.synth as synth_module
 from logcompass.synth import (
     SplitMix64,
     SynthProfile,
@@ -15,6 +18,7 @@ from logcompass.synth import (
     load_profile,
     write_log,
 )
+from logcompass.timeutil import format_timestamp_s
 
 
 def test_splitmix64_reference_vectors():
@@ -174,3 +178,82 @@ def test_load_profile(tmp_path):
     bad.write_text(json.dumps({"sessions": 1}), encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown field"):
         load_profile(bad)
+
+
+# The generator's bytes are pinned: a change to them changes every corpus,
+# benchmark input and digest built from a profile and seed.
+@pytest.mark.parametrize("profile, digest", [
+    (SynthProfile(), "0cb237f63f6fe250fdb18f74b27dd3e422e71e1e0a832cc7cbf9fd97be2385c0"),
+    (SynthProfile(n_users=500, n_items=5000, sessions_per_block=10_000, n_blocks=4, seed=42),
+     "98762bd035c8cd321da52d73e4bdd86be13f028eb4721d93d58ccfe9092748c8"),
+    (SynthProfile(n_users=100, n_items=5000, sessions_per_block=70, n_blocks=36,
+                  k_distribution="heavy-tail", seed=1),
+     "f40cac973145bf51177354b3c5432e27d3ae2504023c83b31b0583433aec2df5"),
+    (SynthProfile(n_users=50, n_items=1000, sessions_per_block=200, n_blocks=6,
+                  k_distribution="uniform-range(3,7)", drift_k=1.1, drift_q=0.9, seed=7),
+     "fe8191fdeeab49998baa9e27da0791ff45e53c8af879bb986c9af77df8e7fc36"),
+])
+def test_write_log_bytes_are_pinned(profile, digest):
+    buf = io.StringIO()
+    write_log(profile, buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("ms, text", [
+    (0, "1970-01-01T00:00:00Z"),
+    (999, "1970-01-01T00:00:00Z"),
+    (86_399_999, "1970-01-01T23:59:59Z"),
+    (86_400_000, "1970-01-02T00:00:00Z"),
+    (1_614_556_799_000, "2021-02-28T23:59:59Z"),
+    (1_614_556_800_000, "2021-03-01T00:00:00Z"),
+    (1_614_643_199_500, "2021-03-01T23:59:59Z"),
+    (-1, "1969-12-31T23:59:59Z"),
+    (-1000, "1969-12-31T23:59:59Z"),
+    (-1001, "1969-12-31T23:59:58Z"),
+    (-86_400_000, "1969-12-31T00:00:00Z"),
+    (-86_400_001, "1969-12-30T23:59:59Z"),
+])
+def test_format_timestamp_s_at_day_boundaries(ms, text):
+    assert format_timestamp_s(ms) == text
+
+
+@pytest.mark.parametrize("profile", [
+    {"n_users": 1.5},
+    {"n_users": True},
+    {"n_items": "5000"},
+    {"seed": 1.5},
+    {"seed": None},
+    {"k_distribution": 5},
+    {"n_blocks": 1e400},
+    {"drift_k": "1.1"},
+    {"drift_q": False},
+])
+def test_synth_profile_of_wrong_type_is_config_error(tmp_path, capsys, profile):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile), encoding="utf-8")
+    out = tmp_path / "log.csv"
+    assert main(["synth", "--profile", str(path), "--out", str(out)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--drift-k", "1e308", "--blocks", "3"],
+    ["--drift-k", "inf"],
+    ["--drift-k", "nan"],
+    ["--drift-q", "inf", "--blocks", "3", "--sessions-per-block", "5"],
+    ["--drift-q", "1e200", "--blocks", "3", "--sessions-per-block", "5"],
+])
+def test_synth_drift_out_of_range_is_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "log.csv"
+    assert main(["synth", *flags, "--out", str(out)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_text_caches_are_capped(monkeypatch):
+    # Past the cap, texts are formatted afresh; the output does not change.
+    profile = SynthProfile(n_users=40, n_items=60, sessions_per_block=50, n_blocks=2, seed=3)
+    want = list(generate_sessions(profile))
+    monkeypatch.setattr(synth_module, "_TEXT_CACHE_SIZE", 5)
+    assert list(generate_sessions(profile)) == want

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from helpers import oracle_parse_timestamp_ms
 from logcompass.events import parse_events
-from logcompass.timeutil import format_timestamp_s, parse_timestamp_ms
+from logcompass.timeutil import format_timestamp_s, parse_timestamp_ms, parse_timestamps_ms
 
 
 @pytest.mark.parametrize(
@@ -133,3 +133,16 @@ def test_never_accepts_what_the_oracle_rejects(text):
     except ValueError:
         return
     assert oracle_parse_timestamp_ms(text) == got
+
+
+def test_parse_timestamps_ms_matches_parse_timestamp_ms():
+    naive = ["2021-03-01T10:00:00", "1969-12-31T23:59:59.9999", "0001-01-01T00:00:00"]
+    aware = ["2021-03-01T10:00:00Z", "2021-03-01T11:00:00+01:00", "9999-12-31T23:59:59-23:59"]
+    for texts in (naive, aware, []):
+        assert parse_timestamps_ms(texts) == [parse_timestamp_ms(t) for t in texts]
+    with pytest.raises(TypeError):
+        parse_timestamps_ms([naive[0], aware[0]])
+    with pytest.raises(TypeError):
+        parse_timestamps_ms([aware[0], naive[0]])
+    with pytest.raises(ValueError):
+        parse_timestamps_ms([naive[0], "2021-13-01"])
