@@ -10,25 +10,25 @@ Malformed lines never abort a parse; each one yields a diagnostic instead.
 Events are grouped by user, each user's in input order, which is all that
 ``pipeline.sessionize_summaries`` needs to build sessions.
 
-Format a is read a segment of whole lines at a time. A segment of valid
-three-field lines is split by one ``str.split`` and its timestamps are
-converted by a ``map()`` of ``fromisoformat``, with no Python function
-called per line; a segment that fails any check (a tag, a bad or
-mixed-kind timestamp, a CR, an empty field, text that is not UTF-8) is
-parsed line by line instead, by ``_delimited_event``, the one definition
-of the format's rules, so events, diagnostics and line numbers do not
-depend on the path taken. Format b is parsed line by line.
+``parse_log_text`` reads a format-a file a segment of whole lines at a
+time. A segment of valid three-field lines is split by one ``str.split``
+and its timestamps are converted by a ``map()`` of ``fromisoformat``, with
+no Python function called per line; a segment that fails any check (a
+tag, a bad or mixed-kind timestamp, a CR, an empty field, text that is not
+UTF-8) is parsed line by line instead, by ``_delimited_event``, the one
+definition of the format's rules, so events, diagnostics and line numbers
+do not depend on the path taken. ``parse_events`` and format b are parsed
+line by line.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, islice, repeat, zip_longest
+from itertools import accumulate, chain, compress, repeat, zip_longest
 from typing import IO, Iterable, NamedTuple
 
 from .errors import ConfigError
@@ -44,11 +44,10 @@ COUNT_POLICIES = ("distinct", "raw")
 # makes whether a line is refused depend on the line alone.
 MAX_NESTING = 200
 DEFAULT_GAP_SECONDS = 1800.0
-# The format-a reader's segments: lines per segment of an iterable, and
-# characters per segment of a file. Small segments keep the columns of one
-# segment well below the memory of the groups they fill.
-_SEGMENT_LINES = 256
-_SEGMENT_CHARS = 8192
+# Characters per segment of a format-a file, read on to the end of a line.
+# Small segments keep the columns of one segment well below the memory of
+# the groups they fill.
+_SEGMENT_CHARS = 2048
 
 
 class LogEvent(NamedTuple):
@@ -128,35 +127,13 @@ def parse_events(
     diagnostics.
 
     Each user's events keep their input order; a malformed line produces one
-    diagnostic and no event. Format a is read a segment of lines at a time:
-    a segment of valid three-field lines is split and converted in a few
-    passes over the whole segment, and any other segment line by line, to
-    the same events and diagnostics.
+    diagnostic and no event.
     """
     if log_format not in LOG_FORMATS:
         raise ConfigError(f"unknown log format {log_format!r} (expected one of {LOG_FORMATS})")
     groups: dict[str, Group] = {}
     diags: list[ParseDiagnostic] = []
-    if log_format == "b":
-        _parse_lines(lines, _record_event, 1, groups, diags)
-        return _event_groups(groups), diags
-    lines = iter(lines)
-    line_no = 1
-    while batch := list(islice(lines, _SEGMENT_LINES)):
-        text = "".join(batch)
-        # The batch's elements are the text's lines only if the text has as
-        # many lines, and each element but an unterminated last ends in LF.
-        lfs = text.count("\n")
-        cols = None
-        if lfs + (not text.endswith("\n")) == len(batch) and all(
-            map(str.endswith, islice(batch, lfs), repeat("\n"))
-        ):
-            cols = _delimited_columns(text)
-        if cols is None:
-            _parse_lines(batch, _delimited_event, line_no, groups, diags)
-        else:
-            _add_columns(groups, *cols)
-        line_no += len(batch)
+    _parse_lines(lines, _delimited_event if log_format == "a" else _record_event, 1, groups, diags)
     return _event_groups(groups), diags
 
 
@@ -176,10 +153,14 @@ def parse_log_text(fh: IO[str], log_format: str) -> tuple[EventGroups, list[Pars
     while text := fh.read(_SEGMENT_CHARS) + fh.readline():
         cols = _delimited_columns(text)
         if cols is None:
-            # StringIO splits at LF only, as the file did after translating
-            # its line ends.
-            _parse_lines(io.StringIO(text), _delimited_event, line_no, groups, diags)
-            line_no += text.count("\n") + (text[-1] != "\n")
+            # The file's lines, split at LF only, as the file splits them
+            # after translating its line ends. _delimited_event reads a line
+            # alike with or without its LF.
+            lines = text.split("\n")
+            if not lines[-1]:
+                del lines[-1]
+            _parse_lines(lines, _delimited_event, line_no, groups, diags)
+            line_no += len(lines)
         else:
             _add_columns(groups, *cols)
             line_no += len(cols[0])
@@ -228,20 +209,20 @@ def _delimited_columns(text: str) -> tuple[list[int], list[str], list[str]] | No
     text is whole lines, each ending at LF (the last may have none). Where
     this returns columns, _delimited_event reads each line to the same
     event; on None, the caller parses the segment line by line. With no CR,
-    a line ends only at LF and a field only at a comma. A comma put after
-    each LF ends each item field with that LF, so one str.split yields
-    every field; given 3n + 1 fields for n LFs, the LFs all fall in item
-    fields exactly when every line has three fields.
+    a line ends only at LF and a field only at a comma. Given 2n commas for
+    n lines, a comma put after each LF makes 3n + 1 fields, ending each
+    item field with that LF exactly when every line has three fields.
     """
-    if "\r" in text or not (text.isascii() or _is_utf8(text)):
-        return None
     if not text.endswith("\n"):
         text += "\n"
-    split = text.replace("\n", "\n,")
-    n = len(split) - len(text)
-    fields = split.split(",")
-    if len(fields) != 3 * n + 1:
+    # The commas of the first line, then of the segment: the cheapest tests
+    # that turn away a tagged segment, before anything is split.
+    if text.count(",", 0, text.index("\n")) != 2:
         return None
+    n = text.count("\n")
+    if text.count(",") != 2 * n or "\r" in text or not (text.isascii() or _is_utf8(text)):
+        return None
+    fields = text.replace("\n", "\n,").split(",")
     items = "".join(fields[2::3]).split("\n")
     if len(items) != n + 1:
         return None

@@ -795,17 +795,16 @@ _A_LOG_LINES = st.tuples(
 
 @pytest.fixture(params=[1, 2, 3, None], ids=["seg1", "seg2", "seg3", "default"])
 def segment(request):
-    """The format-a segment sizes, in lines and in characters, patched to
-    the parameter; None keeps the defaults."""
+    """parse_log_text's segment size, in characters, patched to the
+    parameter; None keeps the default."""
     if request.param is None:
         yield
         return
-    with mock.patch.object(events_module, "_SEGMENT_LINES", request.param), \
-            mock.patch.object(events_module, "_SEGMENT_CHARS", request.param):
+    with mock.patch.object(events_module, "_SEGMENT_CHARS", request.param):
         yield
 
 
-def test_parse_events_segments_match_per_line_parser(segment):
+def test_parse_events_matches_per_line_parser():
     @given(_A_LOG_LINES, st.data())
     def check(lines, data):
         assert parse_events(lines) == oracle_parse_events(lines)
@@ -818,18 +817,37 @@ def test_parse_events_segments_match_per_line_parser(segment):
     check()
 
 
+def _check_parse_log_files(path, text):
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        want, diags = oracle_parse_events(fh)
+    sink = io.StringIO()
+    assert parse_log_files([path], "a", sink) == (want, len(want) + len(diags), len(diags))
+    assert sink.getvalue() == "".join(f"{d}\n" for d in diags)
+
+
 def test_parse_log_files_segments_match_per_line_parser(tmp_path_factory, segment):
     @given(_A_LOG_LINES)
     def check(lines):
-        path = tmp_path_factory.mktemp("log") / "log"
-        path.write_bytes("".join(lines).encode("utf-8", "surrogatepass"))
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            want, diags = oracle_parse_events(fh)
-        sink = io.StringIO()
-        assert parse_log_files([path], "a", sink) == (want, len(want) + len(diags), len(diags))
-        assert sink.getvalue() == "".join(f"{d}\n" for d in diags)
+        _check_parse_log_files(tmp_path_factory.mktemp("log") / "log", "".join(lines))
 
     check()
+
+
+@pytest.mark.parametrize("text", [
+    # Two commas per line on average, but not on every line.
+    "2021-03-01T10:00:00,u1,a,bot\n2021-03-01T10:00:01,u1\n",
+    "2021-03-01T10:00:00,u1\n2021-03-01T10:00:01,u1,b,bot\n2021-03-01T10:00:02,u2,c\n",
+    "2021-03-01T10:00:00,u1,a,b,c\n\n2021-03-01T10:00:02,u2,c\n",
+    "2021-03-01T10:00:00,u1,a\n2021-03-01T10:00:01,u1,b,bot\n2021-03-01T10:00:02,u2\n",
+    # Two lines' fields on one line, whose LF falls in an item field.
+    "2021-03-01T10:00:00,u1,a,2021-03-01T10:00:01,u2,b\n",
+    "2021-03-01T10:00:00,u1,a\n2021-03-01T10:00:01,u1,b,2021-03-01T10:00:02,u2,c\n",
+    # Valid three-field lines, then a tagged one.
+    "2021-03-01T10:00:00,u1,a\n2021-03-01T10:00:01,u1,b\n2021-03-01T10:00:02,u1,c,bot",
+])
+def test_parse_log_files_reads_uneven_lines(tmp_path, segment, text):
+    _check_parse_log_files(tmp_path / "log", text)
 
 
 @pytest.mark.parametrize("lines", [
@@ -843,7 +861,7 @@ def test_parse_log_files_segments_match_per_line_parser(tmp_path_factory, segmen
     ["2021-03-01T10:00:00,u1,a\n", "", "2021-03-01T10:00:01,u1,b"],
     ["2021-03-01T10:00:00,u1,a\n\n", "2021-03-01T10:00:01,u1,b\n"],
 ])
-def test_parse_events_reads_the_lines_it_is_given(segment, lines):
+def test_parse_events_reads_the_lines_it_is_given(lines):
     assert parse_events(lines) == oracle_parse_events(lines)
 
 
@@ -854,8 +872,7 @@ def test_clean_corpus_never_reaches_line_parser(tmp_path, segment, terminated):
     if not terminated:
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    want = oracle_parse_events(lines)
+        want, diags = oracle_parse_events(fh)
+    assert not diags
     with mock.patch.object(events_module, "_delimited_event", side_effect=AssertionError("_delimited_event")):
-        assert parse_events(lines) == want
-        assert parse_log_files([path], "a", io.StringIO()) == (want[0], len(lines), 0)
+        assert parse_log_files([path], "a", io.StringIO()) == (want, len(want), 0)
