@@ -45,8 +45,10 @@ COUNT_POLICIES = ("distinct", "raw")
 MAX_NESTING = 200
 DEFAULT_GAP_SECONDS = 1800.0
 # Characters per segment of a format-a file, read on to the end of a line.
-# Small segments keep the columns of one segment well below the memory of
-# the groups they fill.
+# One tagged or malformed line sends its whole segment, after a failed bulk
+# attempt, to the per-line loop; small segments keep a log with a few such
+# lines from parsing slower than line by line, and keep the columns of one
+# segment well below the memory of the groups they fill.
 _SEGMENT_CHARS = 2048
 
 
