@@ -9,14 +9,13 @@ error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import nullcontext
 from dataclasses import fields, replace
 from pathlib import Path
 
 from . import pipeline
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, load_config_object
 from .events import COUNT_POLICIES, LOG_FORMATS, FilterRules
 from .graphio import GRAPH_FORMATS
 from .pipeline import PipelineConfig
@@ -37,20 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_filter_rules(path: str | Path) -> FilterRules:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad filter file {path}: {exc.msg}") from None
-        except UnicodeDecodeError:
-            raise ConfigError(f"bad filter file {path}: not UTF-8 text") from None
-        except ValueError:
-            # A number past int()'s limit of 4,300 digits.
-            raise ConfigError(f"bad filter file {path}: integer too long") from None
-        except RecursionError:
-            raise ConfigError(f"bad filter file {path}: nested too deeply") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"bad filter file {path}: expected a JSON object")
+    data = load_config_object(path, "filter file")
     unknown = sorted(set(data) - {"agent_deny_patterns", "item_allow_pattern"})
     if unknown:
         raise ConfigError(f"bad filter file {path}: unknown field {unknown[0]!r}")

@@ -49,7 +49,6 @@ from .routes import (
     build_transition_graph,
     detect_communities,
     extract_routes,
-    position_community,
     transition_edge_weights,
 )
 from .taxonomy import (
@@ -620,7 +619,8 @@ def write_communities_csv(
         [c.community_id for c in communities],
         [c.size for c in communities],
         *([c.label_counts[label] for c in communities] for label in _NODE_LABELS),
-        [position_community(c).label for c in communities],
+        # A community's compass position is its dominant label.
+        [c.dominant for c in communities],
     ]
     _write_csv(path, _COMMUNITY_COLS, columns)
 

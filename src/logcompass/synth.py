@@ -10,22 +10,29 @@ Sessions are laid out sequentially in virtual time: events within a
 session are 30 s apart and the next session starts more than 1800 s after
 the previous one ends, so re-sessionizing the output with the default gap
 recovers exactly the generated sessions.
+
+One planner (`_plan`) draws every session as a plain (user, start_ms,
+item_ids) tuple; generate_sessions, generate_events and write_log each
+render its output. write_log splits a session's start once into an epoch
+day and a second of that day and steps 30 s per event, taking the text from
+the day's ``YYYY-MM-DD`` prefix (rendered when the day changes), a
+two-digit hour table and an ``MM:SS`` table, and moves to the next day's
+prefix when a long session runs past midnight.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, starmap
 from pathlib import Path
 from typing import IO, Iterator
 
-from .errors import ConfigError
+from .errors import ConfigError, load_config_object
 from .events import LogEvent
-from .timeutil import format_timestamp_s
+from .timeutil import day_iso, hour_tables
 
 _MASK64 = (1 << 64) - 1
 
@@ -74,6 +81,8 @@ _HEAVY_TAIL_CDF: tuple[float, ...] = tuple(
 
 BASE_EPOCH_S = 1_614_556_800  # 2021-03-01T00:00:00Z
 EVENT_SPACING_S = 30
+_SPACING_MS = EVENT_SPACING_S * 1000
+_DAY_S = 86_400
 SESSION_GAP_BUFFER_S = 1801  # strictly beyond the default 1800 s session gap
 START_JITTER_S = 600
 # Entries per cache of user and item texts in generate_sessions, so that its
@@ -167,8 +176,8 @@ def _draw_k(rng: SplitMix64, kind: str, lo: int, hi: int) -> int:
     return lo + rng.below(hi - lo + 1)
 
 
-def generate_sessions(profile: SynthProfile) -> Iterator[PlannedSession]:
-    """Planned sessions in global start order, one block after another."""
+def _plan(profile: SynthProfile) -> Iterator[tuple[str, int, tuple[str, ...]]]:
+    """The planned sessions as plain (user, start_ms, item_ids) tuples."""
     rng = SplitMix64(profile.seed)
     below = rng.below
     kind, lo, hi = parse_k_distribution(profile.k_distribution)
@@ -196,13 +205,16 @@ def generate_sessions(profile: SynthProfile) -> Iterator[PlannedSession]:
                 user = f"u{u:05d}"
                 if len(user_texts) < _TEXT_CACHE_SIZE:
                     user_texts[u] = user
-            chosen: list[int] = []
-            seen: set[int] = set()
-            while len(chosen) < k:
-                idx = below(n_items)
-                if idx not in seen:
-                    seen.add(idx)
-                    chosen.append(idx)
+            if k == 1:
+                chosen = (below(n_items),)
+            else:
+                chosen = []
+                seen: set[int] = set()
+                while len(chosen) < k:
+                    idx = below(n_items)
+                    if idx not in seen:
+                        seen.add(idx)
+                        chosen.append(idx)
             items = []
             for idx in chosen:
                 item = item_texts.get(idx)
@@ -211,16 +223,20 @@ def generate_sessions(profile: SynthProfile) -> Iterator[PlannedSession]:
                     if len(item_texts) < _TEXT_CACHE_SIZE:
                         item_texts[idx] = item
                 items.append(item)
-            yield PlannedSession(user, t_s * 1000, tuple(items))
-            last_s = t_s + (k - 1) * EVENT_SPACING_S
-            t_s = last_s + SESSION_GAP_BUFFER_S + below(START_JITTER_S)
+            yield user, t_s * 1000, tuple(items)
+            t_s += (k - 1) * EVENT_SPACING_S + SESSION_GAP_BUFFER_S + below(START_JITTER_S)
+
+
+def generate_sessions(profile: SynthProfile) -> Iterator[PlannedSession]:
+    """Planned sessions in global start order, one block after another."""
+    return starmap(PlannedSession, _plan(profile))
 
 
 def generate_events(profile: SynthProfile) -> Iterator[LogEvent]:
     """The event stream realizing the planned sessions."""
-    for s in generate_sessions(profile):
-        for j, item in enumerate(s.item_ids):
-            yield LogEvent(s.start_ms + j * EVENT_SPACING_S * 1000, s.user_hash, item)
+    for user, start_ms, items in _plan(profile):
+        for j, item in enumerate(items):
+            yield LogEvent(start_ms + j * _SPACING_MS, user, item)
 
 
 def write_log(profile: SynthProfile, dest: str | Path | IO[str]) -> int:
@@ -228,18 +244,25 @@ def write_log(profile: SynthProfile, dest: str | Path | IO[str]) -> int:
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             return write_log(profile, fh)
+    hours, min_sec = hour_tables()
     n = 0
     write = dest.write
-    for s in generate_sessions(profile):
-        user = s.user_hash
-        start = s.start_ms
-        write(
-            "".join(
-                f"{format_timestamp_s(start + j * 30_000)},{user},{item}\n"
-                for j, item in enumerate(s.item_ids)
-            )
-        )
-        n += len(s.item_ids)
+    day = prefix = None
+    for user, start_ms, items in _plan(profile):
+        d, sec = divmod(start_ms // 1000, _DAY_S)
+        if d != day:
+            day, prefix = d, day_iso(d)
+        lines = []
+        for item in items:
+            if sec >= _DAY_S:  # a long session runs past midnight
+                sec -= _DAY_S
+                day += 1
+                prefix = day_iso(day)
+            h, r = divmod(sec, 3600)
+            lines.append(f"{prefix}T{hours[h]}:{min_sec[r]}Z,{user},{item}\n")
+            sec += EVENT_SPACING_S
+        write("".join(lines))
+        n += len(lines)
     return n
 
 
@@ -248,13 +271,7 @@ _PROFILE_FIELDS = frozenset(SynthProfile.__dataclass_fields__)
 
 def load_profile(path: str | Path) -> SynthProfile:
     """Load a profile from a JSON object file; unknown keys are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad profile {path}: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"bad profile {path}: expected a JSON object")
+    data = load_config_object(path, "profile")
     unknown = sorted(set(data) - _PROFILE_FIELDS)
     if unknown:
         raise ConfigError(f"bad profile {path}: unknown field {unknown[0]!r}")

@@ -22,8 +22,11 @@ _DAY_MS = 86_400_000
 
 # Keyed by epoch day; bounded by the number of distinct days in the output.
 _DAY_ISO: dict[int, str] = {}
-# Two-digit hours, minutes and seconds, indexed by value.
-_TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))
+# Two-digit hours, indexed by value.
+_TWO_DIGITS = tuple(f"{i:02d}" for i in range(24))
+# "MM:SS" of each second of an hour, indexed by that second; built on first
+# use by hour_tables, so that a process that formats no time never holds it.
+_MIN_SEC: tuple[str, ...] = ()
 
 
 def parse_timestamp_ms(text: str) -> int:
@@ -51,13 +54,26 @@ def parse_timestamps_ms(texts: list[str]) -> list[int]:
     return list(map(floordiv, map(sub, dts, repeat(epoch)), repeat(_ONE_MS)))
 
 
+def day_iso(day: int) -> str:
+    """``YYYY-MM-DD`` of an epoch day (days since 1970-01-01)."""
+    return date.fromordinal(day + _EPOCH_ORDINAL).isoformat()
+
+
+def hour_tables() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The two-digit hours and the "MM:SS" of each second of an hour, so
+    that ``f"{hours[h]}:{min_sec[s]}"`` renders second s of hour h."""
+    global _MIN_SEC
+    if not _MIN_SEC:
+        _MIN_SEC = tuple(f"{m:02d}:{s:02d}" for m in range(60) for s in range(60))
+    return _TWO_DIGITS, _MIN_SEC
+
+
 def format_timestamp_s(ms: int) -> str:
     """Render epoch milliseconds as ``YYYY-MM-DDTHH:MM:SSZ`` (whole seconds)."""
     day, rem = divmod(ms, _DAY_MS)
     prefix = _DAY_ISO.get(day)
     if prefix is None:
-        prefix = date.fromordinal(day + _EPOCH_ORDINAL).isoformat()
-        _DAY_ISO[day] = prefix
+        prefix = _DAY_ISO[day] = day_iso(day)
     h, r = divmod(rem // 1000, 3600)
-    m, s = divmod(r, 60)
-    return f"{prefix}T{_TWO_DIGITS[h]}:{_TWO_DIGITS[m]}:{_TWO_DIGITS[s]}Z"
+    hours, min_sec = hour_tables()
+    return f"{prefix}T{hours[h]}:{min_sec[r]}Z"

@@ -9,14 +9,16 @@ from datetime import date, datetime, timedelta, timezone
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from logcompass.blocks import BlockMetrics
 from logcompass.errors import ConfigError, InputError
 from logcompass import events as events_module
 from logcompass.events import COUNT_POLICIES, DEFAULT_GAP_SECONDS, EventGroups, LogEvent, ParseDiagnostic
 from logcompass.routes import position_community
+from logcompass.synth import generate_sessions
 from logcompass.taxonomy import NODE_BY_LABEL
+from logcompass.timeutil import format_timestamp_s
 
 
 def make_events(spec):
@@ -422,3 +424,24 @@ def _oracle_fast_iso_ms(s: str) -> int:
     if tail not in ("", "Z"):
         raise ValueError(s)
     return day_ms + (h * 3600 + m * 60 + sec) * 1000 + frac_ms
+
+
+# --- the per-event synth writer that write_log replaced -------------------------
+
+
+def oracle_write_log(profile, dest: IO[str]) -> int:
+    """write_log as it was: one f-string and one format_timestamp_s call per
+    event of generate_sessions."""
+    n = 0
+    write = dest.write
+    for s in generate_sessions(profile):
+        user = s.user_hash
+        start = s.start_ms
+        write(
+            "".join(
+                f"{format_timestamp_s(start + j * 30_000)},{user},{item}\n"
+                for j, item in enumerate(s.item_ids)
+            )
+        )
+        n += len(s.item_ids)
+    return n

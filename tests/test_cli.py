@@ -177,17 +177,32 @@ def test_bad_filters_file_is_config_error(tmp_path):
     assert main(["ingest", "--input", "x", "--filters", str(rules), "--out", "y"]) == 1
 
 
-@pytest.mark.parametrize("data, reason", [
-    # each of these once ended the run with exit 3
-    (b"[" * 5000 + b"]" * 5000, "nested too deeply"),
-    (b'{"agent_deny_patterns": ["\xff"]}', "not UTF-8 text"),
-    (b'{"agent_deny_patterns": [' + b"1" * 5000 + b"]}", "integer too long"),
-])
+# JSON config files that each once ended a command with exit 3.
+_UNREADABLE_CONFIG = pytest.mark.parametrize("data, reason", [
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    (b'{"seed": "\xff"}', "not UTF-8 text"),
+    (b'{"seed": ' + b"1" * 5000 + b"}", "integer too long"),
+], ids=["nested", "not-utf8", "long-int"])
+
+
+@_UNREADABLE_CONFIG
 def test_unreadable_filters_file_is_config_error(tmp_path, capsys, data, reason):
     rules = tmp_path / "rules.json"
     rules.write_bytes(data)
-    assert main(["ingest", "--input", "x", "--filters", str(rules), "--out", "y"]) == 1
+    out = tmp_path / "s.csv"
+    assert main(["ingest", "--input", "x", "--filters", str(rules), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"configuration error: bad filter file {rules}: {reason}\n"
+    assert not out.exists()
+
+
+@_UNREADABLE_CONFIG
+def test_unreadable_profile_is_config_error(tmp_path, capsys, data, reason):
+    profile = tmp_path / "profile.json"
+    profile.write_bytes(data)
+    out = tmp_path / "log.csv"
+    assert main(["synth", "--profile", str(profile), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: bad profile {profile}: {reason}\n"
+    assert not out.exists()
 
 
 def _routes_file(tmp_path):

@@ -3,14 +3,16 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logcompass.blocks import compute_variety_series
 from logcompass.cli import main
 from logcompass.errors import ConfigError
-from helpers import by_user, group_events, sessionize
-from logcompass.events import parse_events
+from helpers import by_user, group_events, oracle_write_log, sessionize
+from logcompass.events import LogEvent, parse_events
 import logcompass.synth as synth_module
 from logcompass.synth import (
+    PlannedSession,
     SplitMix64,
     SynthProfile,
     generate_events,
@@ -182,21 +184,106 @@ def test_load_profile(tmp_path):
 
 # The generator's bytes are pinned: a change to them changes every corpus,
 # benchmark input and digest built from a profile and seed.
-@pytest.mark.parametrize("profile, digest", [
-    (SynthProfile(), "0cb237f63f6fe250fdb18f74b27dd3e422e71e1e0a832cc7cbf9fd97be2385c0"),
-    (SynthProfile(n_users=500, n_items=5000, sessions_per_block=10_000, n_blocks=4, seed=42),
-     "98762bd035c8cd321da52d73e4bdd86be13f028eb4721d93d58ccfe9092748c8"),
-    (SynthProfile(n_users=100, n_items=5000, sessions_per_block=70, n_blocks=36,
-                  k_distribution="heavy-tail", seed=1),
-     "f40cac973145bf51177354b3c5432e27d3ae2504023c83b31b0583433aec2df5"),
-    (SynthProfile(n_users=50, n_items=1000, sessions_per_block=200, n_blocks=6,
-                  k_distribution="uniform-range(3,7)", drift_k=1.1, drift_q=0.9, seed=7),
-     "fe8191fdeeab49998baa9e27da0791ff45e53c8af879bb986c9af77df8e7fc36"),
-])
+_PINNED_PROFILES = [
+    SynthProfile(),
+    SynthProfile(n_users=500, n_items=5000, sessions_per_block=10_000, n_blocks=4, seed=42),
+    SynthProfile(n_users=100, n_items=5000, sessions_per_block=70, n_blocks=36,
+                 k_distribution="heavy-tail", seed=1),
+    SynthProfile(n_users=50, n_items=1000, sessions_per_block=200, n_blocks=6,
+                 k_distribution="uniform-range(3,7)", drift_k=1.1, drift_q=0.9, seed=7),
+]
+
+
+@pytest.mark.parametrize("profile, digest", zip(_PINNED_PROFILES, [
+    "0cb237f63f6fe250fdb18f74b27dd3e422e71e1e0a832cc7cbf9fd97be2385c0",
+    "98762bd035c8cd321da52d73e4bdd86be13f028eb4721d93d58ccfe9092748c8",
+    "f40cac973145bf51177354b3c5432e27d3ae2504023c83b31b0583433aec2df5",
+    "fe8191fdeeab49998baa9e27da0791ff45e53c8af879bb986c9af77df8e7fc36",
+]))
 def test_write_log_bytes_are_pinned(profile, digest):
     buf = io.StringIO()
     write_log(profile, buf)
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("profile, sessions_digest, events_digest", [
+    (p, *digests) for p, digests in zip(_PINNED_PROFILES, [
+        ("b53a34ee78e7838d84a1052b78929764f2ada7e6645937a52b876d8e7285ca2a",
+         "73e678e8956840e1367cd32ced24731b79a83fe54ff9a08198d62c7ef3c29034"),
+        ("7c6dddaa962d6719243d3efe8be486da8c4ea752d2a62538fe81e46c11e65867",
+         "8aa0c73a5b4ac244f62c8e05a703f6ff443034dfeeabae3f7b0ddd6327d754d9"),
+        ("78d91464312b9155cf821df6af63cef4960644eed9b347ae378eb58d71f1c596",
+         "3fcfa4718fad2cae2448ac70619f39cc2338f152c343a03954139ad766d91e49"),
+        ("23c9b2e0e4d914f7c11522a3822512590ccc797e194032db417fd348089fe489",
+         "18dd383b0b899cd18aa74a9ea3ee2f6cd780c58a13e9ab4356bb63468fb587ea"),
+    ])
+], ids=["default", "stream", "heavy-tail", "drift"])
+def test_planned_sessions_and_events_are_pinned(profile, sessions_digest, events_digest):
+    sessions = hashlib.sha256()
+    for s in generate_sessions(profile):
+        assert type(s) is PlannedSession and type(s.item_ids) is tuple
+        sessions.update(f"{s.user_hash},{s.start_ms},{' '.join(s.item_ids)}\n".encode())
+    events = hashlib.sha256()
+    for e in generate_events(profile):
+        assert type(e) is LogEvent
+        events.update(f"{e.ts_ms},{e.user_hash},{e.item_id},{e.source_tag}\n".encode())
+    assert (sessions.hexdigest(), events.hexdigest()) == (sessions_digest, events_digest)
+
+
+def _assert_log_matches_oracle(profile) -> list[str]:
+    """write_log's lines, checked against oracle_write_log's; a mismatch
+    names its first differing line, not a diff of the whole log."""
+    got, want = io.StringIO(), io.StringIO()
+    assert write_log(profile, got) == oracle_write_log(profile, want)
+    got_lines, want_lines = got.getvalue().splitlines(), want.getvalue().splitlines()
+    first = next(((i, g, w) for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w), None)
+    assert first is None
+    assert len(got_lines) == len(want_lines)
+    return got_lines
+
+
+_K_DISTRIBUTIONS = st.one_of(
+    st.sampled_from(["mostly-one", "heavy-tail"]),
+    st.tuples(st.integers(1, 8), st.integers(0, 7)).map(
+        lambda lo_span: f"uniform-range({lo_span[0]},{lo_span[0] + lo_span[1]})"),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.builds(
+        SynthProfile,
+        n_users=st.integers(1, 50),
+        n_items=st.integers(200, 3000),
+        sessions_per_block=st.integers(1, 40),
+        n_blocks=st.integers(1, 4),
+        k_distribution=_K_DISTRIBUTIONS,
+        drift_k=st.sampled_from([0.5, 0.9, 1.0, 1.1, 1.5]),
+        drift_q=st.sampled_from([0.7, 1.0, 1.3]),
+        seed=st.integers(-(2**70), 2**70),
+    )
+)
+def test_write_log_matches_per_event_oracle(profile):
+    _assert_log_matches_oracle(profile)
+
+
+def test_sessions_across_midnight_are_written_on_both_days():
+    # Sessions of 40-50 events span 20-25 minutes, so some start before
+    # midnight and end after it.
+    profile = SynthProfile(n_users=20, n_items=500, sessions_per_block=100, n_blocks=3,
+                           k_distribution="uniform-range(40,50)", seed=11)
+    day_ms = 86_400_000
+    crossing = [
+        s for s in generate_sessions(profile)
+        if s.start_ms // day_ms != (s.start_ms + (len(s.item_ids) - 1) * 30_000) // day_ms
+    ]
+    assert crossing
+    lines = _assert_log_matches_oracle(profile)
+    first = crossing[0]
+    row = next(i for i, line in enumerate(lines)
+               if line.startswith(format_timestamp_s(first.start_ms) + ","))
+    days = {line[:10] for line in lines[row:row + len(first.item_ids)]}
+    assert len(days) == 2
 
 
 @pytest.mark.parametrize("ms, text", [

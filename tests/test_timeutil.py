@@ -1,5 +1,5 @@
 import json
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +43,16 @@ def test_parse_timestamp_rejects(text):
 def test_format_timestamp():
     assert format_timestamp_s(0) == "1970-01-01T00:00:00Z"
     assert format_timestamp_s(1614592800000) == "2021-03-01T10:00:00Z"
+
+
+_MS_YEAR_1 = (datetime(1, 1, 1) - datetime(1970, 1, 1)) // timedelta(milliseconds=1)
+_MS_YEAR_9999 = (datetime(9999, 12, 31, 23, 59, 59, 999_000) - datetime(1970, 1, 1)) // timedelta(milliseconds=1)
+
+
+@given(st.integers(_MS_YEAR_1, _MS_YEAR_9999))
+def test_format_timestamp_matches_datetime(ms):
+    want = (datetime(1970, 1, 1) + timedelta(milliseconds=ms)).replace(microsecond=0).isoformat() + "Z"
+    assert format_timestamp_s(ms) == want
 
 
 def test_format_parse_round_trip():
