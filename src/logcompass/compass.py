@@ -6,7 +6,9 @@ a-e-c-d-b-f-a: every node has degree 2, the graph is connected, bipartite
 ({a,b,c} against {d,e,f}), and has diameter 3.
 
 The analytics functions only read ``nodes`` and ``weights`` from the graph
-they are given, so tests can run them on modified topologies.
+they are given, so tests can run them on modified topologies. Distances and
+betweenness come from one Dijkstra search, which counts hops by giving
+every edge length 1.
 """
 
 from __future__ import annotations
@@ -71,11 +73,14 @@ def build_base_graph(weights: Mapping[Edge, float] | None = None) -> CrownGraph:
     return CrownGraph(NODES, table)
 
 
-def _adjacency(g: CrownGraph) -> dict[str, list[tuple[str, float]]]:
+def _adjacency(g: CrownGraph, weighted: bool) -> dict[str, list[tuple[str, float]]]:
+    """Each node's (neighbor, length) pairs; every edge has length 1 unless
+    weighted, so that a search counts hops."""
     adj: dict[str, list[tuple[str, float]]] = {v: [] for v in g.nodes}
     for (u, v), w in sorted(g.weights.items()):
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+        length = w if weighted else 1.0
+        adj[u].append((v, length))
+        adj[v].append((u, length))
     return adj
 
 
@@ -95,45 +100,8 @@ def shortest_distance(g: CrownGraph, u: str, v: str, mode: str = "hops") -> floa
     # Search from the lexicographically smaller endpoint so d(u, v) and
     # d(v, u) run the identical float computation.
     u, v = (u, v) if u <= v else (v, u)
-    adj = _adjacency(g)
-    if mode == "hops":
-        dist = _bfs_distances(adj, u)
-    else:
-        dist = _dijkstra_distances(adj, u)
+    dist, *_ = _search(_adjacency(g, mode == "weighted"), u)
     return dist[v]
-
-
-def _bfs_distances(adj: dict[str, list[tuple[str, float]]], source: str) -> dict[str, float]:
-    dist = {v: inf for v in adj}
-    dist[source] = 0.0
-    frontier = [source]
-    while frontier:
-        nxt: list[str] = []
-        for u in frontier:
-            for v, _ in adj[u]:
-                if dist[v] == inf:
-                    dist[v] = dist[u] + 1.0
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
-def _dijkstra_distances(
-    adj: dict[str, list[tuple[str, float]]], source: str
-) -> dict[str, float]:
-    dist = {v: inf for v in adj}
-    dist[source] = 0.0
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
 
 
 def betweenness(g: CrownGraph, *, weighted: bool = False) -> dict[str, float]:
@@ -142,12 +110,10 @@ def betweenness(g: CrownGraph, *, weighted: bool = False) -> dict[str, float]:
     Pairs are unordered and endpoints are excluded; when a pair has several
     geodesics each contributes its fraction.
     """
-    adj = _adjacency(g)
+    adj = _adjacency(g, weighted)
     bc = dict.fromkeys(adj, 0.0)
     for s in adj:
-        order, preds, sigma = (
-            _dijkstra_dag(adj, s) if weighted else _bfs_dag(adj, s)
-        )
+        _, order, preds, sigma = _search(adj, s)
         delta = dict.fromkeys(adj, 0.0)
         while order:
             w = order.pop()
@@ -159,31 +125,16 @@ def betweenness(g: CrownGraph, *, weighted: bool = False) -> dict[str, float]:
     return {v: x / 2.0 for v, x in bc.items()}
 
 
-def _bfs_dag(adj, source):
-    dist = {v: inf for v in adj}
-    sigma = dict.fromkeys(adj, 0.0)
-    preds: dict[str, list[str]] = {v: [] for v in adj}
-    dist[source] = 0.0
-    sigma[source] = 1.0
-    order: list[str] = []
-    frontier = [source]
-    while frontier:
-        nxt: list[str] = []
-        for u in frontier:
-            order.append(u)
-            for v, _ in adj[u]:
-                if dist[v] == inf:
-                    dist[v] = dist[u] + 1.0
-                    nxt.append(v)
-                if dist[v] == dist[u] + 1.0:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        frontier = nxt
-    return order, preds, sigma
+def _search(adj: dict[str, list[tuple[str, float]]], source: str):
+    """Dijkstra's search from source, keeping every shortest path (Brandes
+    2001); with unit lengths it visits nodes as a breadth-first search does.
 
-
-def _dijkstra_dag(adj, source, rel_tol: float = 1e-12):
-    dist = {v: inf for v in adj}
+    Returns (dist, order, preds, sigma): each node's distance (inf when
+    unreachable), the reached nodes in the order they were settled, each
+    node's predecessors on its shortest paths, and its number of shortest
+    paths.
+    """
+    dist = dict.fromkeys(adj, inf)
     sigma = dict.fromkeys(adj, 0.0)
     preds: dict[str, list[str]] = {v: [] for v in adj}
     dist[source] = 0.0
@@ -199,7 +150,9 @@ def _dijkstra_dag(adj, source, rel_tol: float = 1e-12):
         order.append(u)
         for v, w in adj[u]:
             nd = d + w
-            tol = rel_tol * max(1.0, abs(nd))
+            # Lengths this close are one length, so that the same weights
+            # summed in another order tie.
+            tol = 1e-12 * max(1.0, abs(nd))
             if nd < dist[v] - tol:
                 dist[v] = nd
                 sigma[v] = sigma[u]
@@ -208,7 +161,7 @@ def _dijkstra_dag(adj, source, rel_tol: float = 1e-12):
             elif abs(nd - dist[v]) <= tol and v not in seen:
                 sigma[v] += sigma[u]
                 preds[v].append(u)
-    return order, preds, sigma
+    return dist, order, preds, sigma
 
 
 def minimum_spanning_tree(g: CrownGraph) -> tuple[Edge, ...]:

@@ -131,26 +131,32 @@ def parse_events(
     Each user's events keep their input order; a malformed line produces one
     diagnostic and no event.
     """
-    if log_format not in LOG_FORMATS:
-        raise ConfigError(f"unknown log format {log_format!r} (expected one of {LOG_FORMATS})")
     groups: dict[str, Group] = {}
     diags: list[ParseDiagnostic] = []
-    _parse_lines(lines, _delimited_event if log_format == "a" else _record_event, 1, groups, diags)
-    return _event_groups(groups), diags
+    _parse_lines(lines, _line_parser(log_format), 1, groups, diags)
+    return EventGroups(groups, sum(len(g[0]) for g in groups.values())), diags
 
 
-def parse_log_text(fh: IO[str], log_format: str) -> tuple[EventGroups, list[ParseDiagnostic]]:
-    """parse_events over the lines of a text file opened with universal
-    newlines, as open() does by default.
+def _line_parser(log_format: str):
+    """The function that parses one line of log_format."""
+    if log_format not in LOG_FORMATS:
+        raise ConfigError(f"unknown log format {log_format!r} (expected one of {LOG_FORMATS})")
+    return _delimited_event if log_format == "a" else _record_event
+
+
+def parse_log_text(fh: IO[str], log_format: str, groups: dict[str, Group]) -> list[ParseDiagnostic]:
+    """Add the events of a text file opened with universal newlines, as
+    open() does by default, to groups, as parse_events parses its lines;
+    returns the file's diagnostics, numbered from its first line.
 
     Format a is read _SEGMENT_CHARS characters at a time, carried on to the
     end of a line; such a segment is whole lines split at LF alone, which is
     how the file iterates, so no line needs to be made a str of its own.
     """
-    if log_format != "a":
-        return parse_events(fh, log_format)
-    groups: dict[str, Group] = {}
     diags: list[ParseDiagnostic] = []
+    if _line_parser(log_format) is _record_event:
+        _parse_lines(fh, _record_event, 1, groups, diags)
+        return diags
     line_no = 1
     while text := fh.read(_SEGMENT_CHARS) + fh.readline():
         cols = _delimited_columns(text)
@@ -166,11 +172,7 @@ def parse_log_text(fh: IO[str], log_format: str) -> tuple[EventGroups, list[Pars
         else:
             _add_columns(groups, *cols)
             line_no += len(cols[0])
-    return _event_groups(groups), diags
-
-
-def _event_groups(groups: dict[str, Group]) -> EventGroups:
-    return EventGroups(groups, sum(len(g[0]) for g in groups.values()))
+    return diags
 
 
 def _parse_lines(

@@ -20,7 +20,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import gt
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
@@ -236,26 +236,19 @@ def parse_log_files(
     """
     sink = diagnostics if diagnostics is not None else sys.stderr
     groups: dict[str, Group] = {}
-    count = malformed = 0
+    malformed = 0
     for path in paths:
         try:
             # Bytes that are not UTF-8 decode to lone surrogates, which the
             # parser reports per line as "invalid UTF-8".
             with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                got, diags = parse_log_text(fh, log_format)
+                diags = parse_log_text(fh, log_format, groups)
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
-        for user, group in got.groups.items():
-            have = groups.setdefault(user, group)
-            if have is not group:
-                if group[2]:  # tags after an earlier file's untagged events
-                    have[2].extend(repeat(None, len(have[1]) - len(have[2])))
-                for column, more in zip(have, group):
-                    column.extend(more)
-        count += len(got)
         malformed += len(diags)
         for d in diags:
             print(d, file=sink)
+    count = sum(len(g[0]) for g in groups.values())
     return EventGroups(groups, count), count + malformed, malformed
 
 
@@ -531,9 +524,14 @@ def write_metrics_jsonl(metrics: Sequence[BlockMetrics], path: Path) -> None:
 
 
 def read_metrics_csv(path: Path) -> list[BlockMetrics]:
+    """The block metrics of a metrics file. A row is an InputError unless its
+    block_index exceeds the row before's, its mean_n and mean_k are finite
+    and positive and, after the first row, its alpha, beta and variety are
+    finite."""
+    out: list[BlockMetrics] = []
     with _reading(path, "metrics", _METRIC_COLS) as rows:
-        return [
-            BlockMetrics(
+        for row in rows:
+            m = BlockMetrics(
                 block_index=int(row[0]), q=int(row[1]),
                 mean_n=float(row[2]), mean_k=float(row[3]),
                 n_min=int(row[4]), n_max=int(row[5]),
@@ -542,8 +540,15 @@ def read_metrics_csv(path: Path) -> list[BlockMetrics]:
                 beta=float(row[9]) if row[9] else None,
                 variety=float(row[10]) if row[10] else None,
             )
-            for row in rows
-        ]
+            ratios = (m.alpha, m.beta, m.variety)
+            if not (0 < m.mean_n < math.inf and 0 < m.mean_k < math.inf) or out and (
+                m.block_index <= out[-1].block_index
+                or None in ratios
+                or not all(map(math.isfinite, ratios))
+            ):
+                raise _row_error(path, "metrics", row)
+            out.append(m)
+    return out
 
 
 def write_classifications_csv(cls: Sequence[BlockClassification], path: Path) -> None:
@@ -559,16 +564,20 @@ def write_classifications_csv(cls: Sequence[BlockClassification], path: Path) ->
 
 
 def read_classifications_csv(path: Path) -> list[BlockClassification]:
+    """The classifications of a classifications file. A row whose
+    block_index does not exceed the row before's is an InputError."""
+    out: list[BlockClassification] = []
     with _reading(path, "classifications", _CLASSIFICATION_COLS) as rows:
-        return [
-            BlockClassification(
+        for row in rows:
+            out.append(BlockClassification(
                 int(row[0]),
                 Triplet(Tendency(row[1]), Tendency(row[2]), Stability(row[3])),
                 NODE_BY_LABEL[row[4]],
                 float(row[5]),
-            )
-            for row in rows
-        ]
+            ))
+            if len(out) > 1 and out[-1].block_index <= out[-2].block_index:
+                raise _row_error(path, "classifications", row)
+    return out
 
 
 def write_routes_csv(routes: Sequence[SearchRoute], path: Path) -> None:

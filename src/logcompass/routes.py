@@ -21,25 +21,17 @@ STREAM_OWNER = "stream"
 INDEL_COST = 2.0
 
 
-def _hop_table() -> dict[tuple[str, str], int]:
-    g = build_base_graph()
-    return {
-        (u, v): int(shortest_distance(g, u, v, "hops"))
-        for u in NODES
-        for v in NODES
-    }
-
-
-_HOPS = _hop_table()
-# The same table indexed by label position in NODES, for the linkage DP.
+# The compass hop distance of every pair of labels, indexed by their
+# positions in NODES.
 _CODE = {label: i for i, label in enumerate(NODES)}
-_HOP_ROWS = tuple(tuple(_HOPS[(x, y)] for y in NODES) for x in NODES)
+_BASE = build_base_graph()
+_HOP_ROWS = tuple(tuple(int(shortest_distance(_BASE, x, y)) for y in NODES) for x in NODES)
 
 
 def compass_hops(x: str, y: str) -> int:
     """Hop distance between two node labels on the compass cycle (0..3)."""
     try:
-        return _HOPS[(x, y)]
+        return _HOP_ROWS[_CODE[x]][_CODE[y]]
     except KeyError:
         raise ValueError(f"unknown node label in {(x, y)!r}") from None
 
@@ -123,15 +115,15 @@ def route_distance(r1: SearchRoute, r2: SearchRoute) -> float:
     Substitutions cost the compass hop distance between the labels (0-3);
     insertions and deletions cost 2 each. Symmetric in its arguments.
     """
-    a, b = r1.steps, r2.steps
-    _check_labels((a, b))
+    _check_labels((r1.steps, r2.steps))
+    a, b = ([_CODE[label] for label in r.steps] for r in (r1, r2))
     prev = [j * INDEL_COST for j in range(len(b) + 1)]
     for i, x in enumerate(a, 1):
         cur = [i * INDEL_COST]
         for j, y in enumerate(b, 1):
             cur.append(
                 min(
-                    prev[j - 1] + _HOPS[(x, y)],
+                    prev[j - 1] + _HOP_ROWS[x][y],
                     prev[j] + INDEL_COST,
                     cur[j - 1] + INDEL_COST,
                 )

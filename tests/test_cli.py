@@ -1,5 +1,7 @@
+import csv
 import io
 import json
+import shutil
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logcompass.cli import main
-from logcompass.pipeline import ARTIFACT_FILES, GRAPH_FILES
+from logcompass.pipeline import _METRIC_COLS, ARTIFACT_FILES, GRAPH_FILES
 
 
 def test_synth_then_run_then_report(tmp_path, capsys):
@@ -367,13 +369,93 @@ def test_report_on_block_missing_from_metrics_exits_2(tmp_path, capsys):
     assert main(["run", "--input", str(log), "--block-size", "30", "--out", str(out)]) == 0
     classifications = out / ARTIFACT_FILES["classifications"]
     lines = classifications.read_text(encoding="utf-8").splitlines(keepends=True)
-    assert lines[1].startswith("1,")
-    classifications.write_text(lines[0] + "9," + lines[1][2:] + "".join(lines[2:]), encoding="utf-8")
+    # The last block, so that the rows stay ordered by block_index.
+    assert lines[-1].startswith("3,")
+    classifications.write_text("".join(lines[:-1]) + "9," + lines[-1][2:], encoding="utf-8")
     capsys.readouterr()
     assert main(["report", "--artifacts", str(out)]) == 2
     assert capsys.readouterr().err == (
         "input error: classifications name block 9, which the metrics lack\n"
     )
+
+
+@pytest.fixture(scope="module")
+def run_200(tmp_path_factory):
+    """The artifacts of `run --block-size 50` on a 200-session corpus."""
+    base = tmp_path_factory.mktemp("run_200")
+    log = base / "log.csv"
+    quiet = io.StringIO()
+    with redirect_stdout(quiet):
+        assert main(["synth", "--out", str(log), "--seed", "5",
+                     "--sessions-per-block", "50", "--blocks", "4"]) == 0
+        assert main(["run", "--input", str(log), "--block-size", "50", "--out", str(base / "out")]) == 0
+    return base / "out"
+
+
+def _set(row, col, value):
+    def edit(rows):
+        rows[row][col] = value
+        return rows, rows[row]
+
+    return edit
+
+
+def _repeat(row):
+    def edit(rows):
+        rows.insert(row + 1, list(rows[row]))
+        return rows, rows[row + 1]
+
+    return edit
+
+
+def _reverse(rows):
+    rows.reverse()
+    return rows, rows[1]
+
+
+_METRIC = {name: i for i, name in enumerate(_METRIC_COLS)}
+
+
+@pytest.mark.parametrize("cmd, key, edit", [
+    # Each once exited 3: "first block has no variety" or "variety must be finite".
+    ("classify", "metrics", _set(1, _METRIC["variety"], "")),
+    ("classify", "metrics", _set(1, _METRIC["variety"], "nan")),
+    ("classify", "metrics", _set(1, _METRIC["variety"], "inf")),
+    # Each once exited 0 and wrote classifications.
+    ("classify", "metrics", _set(2, _METRIC["alpha"], "")),
+    ("classify", "metrics", _set(3, _METRIC["beta"], "-inf")),
+    ("classify", "metrics", _set(2, _METRIC["mean_n"], "nan")),
+    ("classify", "metrics", _set(0, _METRIC["mean_n"], "inf")),
+    ("classify", "metrics", _set(1, _METRIC["mean_k"], "0.0")),
+    ("classify", "metrics", _set(3, _METRIC["mean_k"], "-2.5")),
+    ("classify", "metrics", _set(1, _METRIC["block_index"], "0")),
+    ("classify", "metrics", _set(3, _METRIC["block_index"], "2")),
+    # Each once exited 3: "classifications must be ordered by block_index".
+    ("routes", "classifications", _reverse),
+    ("routes", "classifications", _repeat(0)),
+    # Once exited 0 with a report of 4 blocks, and 200 of 200 sessions, classified.
+    ("report", "classifications", _repeat(1)),
+])
+def test_corrupt_metrics_or_classifications_exit_2(tmp_path, capsys, run_200, cmd, key, edit):
+    out = tmp_path / "out"
+    shutil.copytree(run_200, out)
+    path = out / ARTIFACT_FILES[key]
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rows, bad = edit(rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    argv = {
+        "classify": ["classify", "--metrics", str(path), "--out", str(tmp_path / "c.csv")],
+        "routes": ["routes", "--classifications", str(path), "--sessions",
+                   str(out / ARTIFACT_FILES["sessions"]), "--block-size", "50",
+                   "--out-dir", str(tmp_path / "r")],
+        "report": ["report", "--artifacts", str(out)],
+    }[cmd]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: bad {key} file {path}: row {bad!r}\n"
+    assert not (tmp_path / "c.csv").exists() and not (tmp_path / "r").exists()
 
 
 def test_sessions_time_outside_int64_exits_2(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import fsum, inf, sqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logcompass.compass import (
+    DISTANCE_MODES,
     CrownGraph,
     NODES,
     assortativity,
@@ -269,6 +271,34 @@ def test_betweenness_weighted_matches_oracle():
 def test_betweenness_weighted_unit_equals_unweighted():
     g = build_base_graph()
     assert betweenness(g, weighted=True) == pytest.approx(betweenness(g))
+
+
+# Any subset of the 15 node pairs, so graphs with several geodesics per pair
+# and disconnected ones come up. Weights are multiples of 1/16, so every path
+# length the oracle sums is exact and a tie for the oracle is a tie for the
+# search too.
+_SUBGRAPH_WEIGHTS = st.dictionaries(
+    st.sampled_from(list(combinations(NODES, 2))), st.integers(1, 320).map(lambda n: n / 16)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SUBGRAPH_WEIGHTS)
+def test_distances_and_betweenness_match_oracle_on_any_subgraph(weights):
+    g = CrownGraph(NODES, weights)
+    linked = {v for e in weights for v in e}
+    for mode in DISTANCE_MODES:
+        for u, v in product(NODES, repeat=2):
+            if u == v or {u, v} <= linked:
+                want = oracle_distance(weights, u, v, mode)
+            else:
+                want = inf  # the oracle knows only the nodes of some edge
+            assert shortest_distance(g, u, v, mode) == pytest.approx(want, abs=1e-9)
+        bc = betweenness(g, weighted=mode == "weighted")
+        oracle = oracle_betweenness(weights, mode)
+        assert set(bc) == set(NODES)
+        for v in NODES:
+            assert abs(bc[v] - oracle.get(v, 0.0)) <= 1e-9
 
 
 # --- minimum spanning tree -------------------------------------------------------

@@ -23,6 +23,8 @@ from logcompass.routes import (
     transition_edge_weights,
 )
 
+from test_compass import EXPECTED_EDGES, oracle_distance
+
 
 def route(steps, owner="r", span=None):
     steps = tuple(steps)
@@ -75,6 +77,9 @@ def test_compass_hops_table():
     assert compass_hops("a", "a") == 0
     assert compass_hops("a", "d") == 3
     assert compass_hops("c", "d") == 1
+    cycle = dict.fromkeys(EXPECTED_EDGES, 1.0)
+    for x, y in itertools.product("abcdef", repeat=2):
+        assert compass_hops(x, y) == oracle_distance(cycle, x, y, "hops")
     with pytest.raises(ValueError):
         compass_hops("a", "z")
 
