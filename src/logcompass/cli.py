@@ -82,15 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = sub.add_parser("synth", help="generate a deterministic synthetic log")
-    p.add_argument("--profile", help="JSON profile file")
+    # Each profile flag's dest names a SynthProfile field, set only if given.
+    p = sub.add_parser("synth", help="generate a deterministic synthetic log",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--profile", default=None, help="JSON profile file")
     p.add_argument("--out", required=True, help="output log file (format a)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--users", type=int)
-    p.add_argument("--items", type=int)
+    p.add_argument("--users", dest="n_users", metavar="USERS", type=int)
+    p.add_argument("--items", dest="n_items", metavar="ITEMS", type=int)
     p.add_argument("--sessions-per-block", type=int)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--k-dist", help="mostly-one | heavy-tail | uniform-range(lo,hi)")
+    p.add_argument("--blocks", dest="n_blocks", metavar="BLOCKS", type=int)
+    p.add_argument("--k-dist", dest="k_distribution", metavar="K_DIST",
+                   help="mostly-one | heavy-tail | uniform-range(lo,hi)")
     p.add_argument("--drift-k", type=float)
     p.add_argument("--drift-q", type=float)
     p.set_defaults(func=_cmd_synth)
@@ -168,17 +171,8 @@ def _diagnostics(args):
 
 def _cmd_synth(args) -> int:
     profile = load_profile(args.profile) if args.profile else SynthProfile()
-    overrides = {
-        "seed": args.seed,
-        "n_users": args.users,
-        "n_items": args.items,
-        "sessions_per_block": args.sessions_per_block,
-        "n_blocks": args.blocks,
-        "k_distribution": args.k_dist,
-        "drift_k": args.drift_k,
-        "drift_q": args.drift_q,
-    }
-    profile = replace(profile, **{k: v for k, v in overrides.items() if v is not None})
+    flags = vars(args)
+    profile = replace(profile, **{f.name: flags[f.name] for f in fields(SynthProfile) if f.name in flags})
     n = write_log(profile, args.out)
     print(f"wrote {n} events to {args.out}")
     return EXIT_OK

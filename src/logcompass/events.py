@@ -11,9 +11,10 @@ Events are grouped by user, each user's in input order, which is all that
 ``pipeline.sessionize_summaries`` needs to build sessions.
 
 ``parse_log_text`` reads a format-a file a segment of whole lines at a
-time. A segment of valid three-field lines is split by one ``str.split``
-and its timestamps are converted by a ``map()`` of ``fromisoformat``, with
-no Python function called per line; a segment that fails any check (a
+time. A segment of valid three-field lines is split by ``comma_columns``,
+one ``str.split`` that pipeline.read_sessions_csv also splits sessions.csv
+with, and its timestamps are converted by a ``map()`` of ``fromisoformat``,
+with no Python function called per line; a segment that fails any check (a
 tag, a bad or mixed-kind timestamp, a CR, an empty field, text that is not
 UTF-8) is parsed line by line instead, by ``_delimited_event``, the one
 definition of the format's rules, so events, diagnostics and line numbers
@@ -206,36 +207,40 @@ def _parse_lines(
         items.append(intern(item))
 
 
-def _delimited_columns(text: str) -> tuple[list[int], list[str], list[str]] | None:
-    """The (ts_ms, user_hash, item_id) columns of text's format-a lines, if
-    every line is valid and has three fields; else None.
+def comma_columns(text: str, width: int) -> list[list[str]] | None:
+    """The width columns (width >= 2) of text's lines, split at every comma
+    and without their LFs, if every line has width fields; else None.
 
-    text is whole lines, each ending at LF (the last may have none). Where
-    this returns columns, _delimited_event reads each line to the same
-    event; on None, the caller parses the segment line by line. With no CR,
-    a line ends only at LF and a field only at a comma. Given 2n commas for
-    n lines, a comma put after each LF makes 3n + 1 fields, ending each
-    item field with that LF exactly when every line has three fields.
+    text is whole lines; the last may lack its LF. With no CR, a line ends
+    only at LF and a field only at a comma. Given width - 1 commas per LF, a
+    comma put after each LF makes width fields per line, the last ending
+    with its LF, exactly when every line has width fields.
     """
     if not text.endswith("\n"):
         text += "\n"
-    # The commas of the first line, then of the segment: the cheapest tests
-    # that turn away a tagged segment, before anything is split.
-    if text.count(",", 0, text.index("\n")) != 2:
+    spread = text.replace("\n", "\n,")
+    n = len(spread) - len(text)  # the LFs
+    fields = spread.split(",")
+    last = "".join(fields[width - 1 :: width]).split("\n")
+    if "\r" in text or len(fields) != width * n + 1 or len(last) != n + 1:
         return None
-    n = text.count("\n")
-    if text.count(",") != 2 * n or "\r" in text or not (text.isascii() or _is_utf8(text)):
+    del last[n]  # the empty text after the last LF
+    return [fields[0:-1:width], *(fields[i::width] for i in range(1, width - 1)), last]
+
+
+def _delimited_columns(text: str) -> tuple[list[int], list[str], list[str]] | None:
+    """The (ts_ms, user_hash, item_id) columns of text, whole lines as
+    comma_columns takes them, if every line is a valid three-field format-a
+    line, which _delimited_event reads to the same event; else None."""
+    # The commas of the first line: the cheapest test that turns away a
+    # tagged segment, before anything is split.
+    if text.partition("\n")[0].count(",") != 2 or not (text.isascii() or _is_utf8(text)):
         return None
-    fields = text.replace("\n", "\n,").split(",")
-    items = "".join(fields[2::3]).split("\n")
-    if len(items) != n + 1:
-        return None
-    del items[n]  # the empty text after the last LF
-    users = fields[1::3]
-    if "" in users or "" in items:
+    cols = comma_columns(text, 3)
+    if cols is None or "" in cols[1] or "" in cols[2]:
         return None
     try:
-        return parse_timestamps_ms(fields[0:-1:3]), users, items
+        return parse_timestamps_ms(cols[0]), cols[1], cols[2]
     except (ValueError, TypeError):
         # The per-line parser words the diagnostic.
         return None

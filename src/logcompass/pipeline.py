@@ -37,6 +37,7 @@ from .events import (
     LOG_FORMATS,
     TS_MAX_MS,
     TS_MIN_MS,
+    comma_columns,
     filter_events,
     parse_log_text,
 )
@@ -381,37 +382,14 @@ def _count_lf(path: Path) -> int:
         return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
 
 
-def _split_segment(seg: str, field_limit: int) -> list[list[str]] | None:
-    """The five columns of seg's csv rows, if seg is whole lines that csv
-    splits at every LF and comma alone into rows of five fields; else None.
-
-    Without a quote or a CR, csv ends a row only at LF and a field only at a
-    comma, so one str.split yields every field. A comma put after each LF
-    ends each row's k_items field with that LF, which int() skips as space.
-    Given four commas per LF in all, the LFs all fall in k_items fields
-    exactly when every line has five fields. A segment no longer than csv's
-    field size limit holds no field over it.
-    """
-    if '"' in seg or "\r" in seg or len(seg) > field_limit:
-        return None
-    if seg[-1] != "\n":  # the file's last line, unterminated
-        seg += "\n"
-    text = seg.replace("\n", "\n,")
-    lines = len(text) - len(seg)
-    fields = text.split(",")
-    ks = fields[4::5]
-    if len(fields) != 5 * lines + 1 or "".join(ks).count("\n") != lines:
-        return None
-    return [fields[0:-1:5], fields[1::5], fields[2::5], fields[3::5], ks]
-
-
 def read_sessions_csv(path: Path) -> SessionTable:
     """The sessions of a sessions.csv file, checked as they are read.
 
     Under the exact header, the file is read in segments of whole lines that
-    _split_segment splits without csv; from the first segment it cannot
-    split, or that fails a check, csv reads the rest. Both feed one
-    converter, so either way the rows, checks and errors are csv's.
+    events.comma_columns, the format-a reader's splitter, splits without
+    csv; from the first segment it cannot split, or that fails a check, csv
+    reads the rest. Both feed one converter, so either way the rows, checks
+    and errors are csv's.
     """
     # Columns sized for one row per LF: the header's LF pays for a last line
     # that has none. Only bare CRs can end more rows, and slice assignment
@@ -422,9 +400,6 @@ def read_sessions_csv(path: Path) -> SessionTable:
     ends = array("q", (0,)) * size
     ks: list[int] = [0] * size
     n = 0
-    # One str object per distinct user, however many sessions name it.
-    seen: dict[str, str] = {}
-    intern = seen.setdefault
 
     def take(cols: Sequence[Sequence[str]]) -> bool:
         """Fill the next rows from the columns of a run of rows; False, and
@@ -444,7 +419,8 @@ def read_sessions_csv(path: Path) -> SessionTable:
         end = n + len(ids)
         if min(k_of.values()) < 1 or ids != list(range(n, end)):
             return False
-        users[n:end] = map(intern, cols[1], cols[1])
+        # One str object per distinct user, however many sessions name it.
+        users[n:end] = map(sys.intern, cols[1])
         starts[n:end] = chunk_starts
         ends[n:end] = chunk_ends
         ks[n:end] = map(k_of.__getitem__, cols[4])
@@ -458,7 +434,9 @@ def read_sessions_csv(path: Path) -> SessionTable:
         if head == _SESSIONS_HEADER_LINE:
             # readline() ends each segment where the file's own lines end.
             while seg := fh.read(_SEGMENT_CHARS) + fh.readline():
-                cols = _split_segment(seg, field_limit)
+                # Without a quote, csv splits where comma_columns does; a segment
+                # within csv's field size limit holds no field over it.
+                cols = None if '"' in seg or len(seg) > field_limit else comma_columns(seg, 5)
                 if cols is None or not take(cols):
                     rows = csv.reader(chain(io.StringIO(seg, newline=""), fh))
                     break
@@ -525,9 +503,10 @@ def write_metrics_jsonl(metrics: Sequence[BlockMetrics], path: Path) -> None:
 
 def read_metrics_csv(path: Path) -> list[BlockMetrics]:
     """The block metrics of a metrics file. A row is an InputError unless its
-    block_index exceeds the row before's, its mean_n and mean_k are finite
-    and positive and, after the first row, its alpha, beta and variety are
-    finite."""
+    block_index exceeds the row before's, its q is at least 1, its n_min,
+    n_max, k_min and k_max satisfy 1 <= min <= max, its mean_n and mean_k
+    are finite and positive and, after the first row, its alpha, beta and
+    variety are finite."""
     out: list[BlockMetrics] = []
     with _reading(path, "metrics", _METRIC_COLS) as rows:
         for row in rows:
@@ -541,7 +520,10 @@ def read_metrics_csv(path: Path) -> list[BlockMetrics]:
                 variety=float(row[10]) if row[10] else None,
             )
             ratios = (m.alpha, m.beta, m.variety)
-            if not (0 < m.mean_n < math.inf and 0 < m.mean_k < math.inf) or out and (
+            if not (
+                m.q >= 1 and 1 <= m.n_min <= m.n_max and 1 <= m.k_min <= m.k_max
+                and 0 < m.mean_n < math.inf and 0 < m.mean_k < math.inf
+            ) or out and (
                 m.block_index <= out[-1].block_index
                 or None in ratios
                 or not all(map(math.isfinite, ratios))
@@ -670,6 +652,11 @@ def routes_from_classifications(
     block_size: int,
     grouping: str,
 ) -> tuple[list[SearchRoute], TransitionGraph]:
+    # The classifications are ordered by block_index, so the first and the
+    # last name the lowest and the highest block.
+    for c in classifications[:1] + classifications[-1:]:
+        if not 0 <= c.block_index < math.ceil(len(sessions) / block_size):
+            raise InputError(f"classifications name block {c.block_index}, which the sessions lack")
     classified = [(c.block_index, c.node.label) for c in classifications]
     if grouping == "user":
         routes = extract_routes(classified, "user", block_user_map(sessions, block_size))

@@ -3,13 +3,17 @@ import io
 import json
 import shutil
 from contextlib import redirect_stdout
+from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logcompass import cli
 from logcompass.cli import main
 from logcompass.pipeline import _METRIC_COLS, ARTIFACT_FILES, GRAPH_FILES
+from logcompass.synth import SynthProfile
 
 
 def test_synth_then_run_then_report(tmp_path, capsys):
@@ -413,6 +417,14 @@ def _reverse(rows):
     return rows, rows[1]
 
 
+def _swap(row, a, b):
+    def edit(rows):
+        rows[row][a], rows[row][b] = rows[row][b], rows[row][a]
+        return rows, rows[row]
+
+    return edit
+
+
 _METRIC = {name: i for i, name in enumerate(_METRIC_COLS)}
 
 
@@ -430,6 +442,14 @@ _METRIC = {name: i for i, name in enumerate(_METRIC_COLS)}
     ("classify", "metrics", _set(3, _METRIC["mean_k"], "-2.5")),
     ("classify", "metrics", _set(1, _METRIC["block_index"], "0")),
     ("classify", "metrics", _set(3, _METRIC["block_index"], "2")),
+    # Each once exited 0: report printed "sessions: 100 total, 50 classified",
+    # and classify wrote classifications.
+    ("report", "metrics", _set(1, _METRIC["q"], "-50")),
+    ("classify", "metrics", _set(2, _METRIC["q"], "0")),
+    ("classify", "metrics", _swap(1, _METRIC["n_min"], _METRIC["n_max"])),
+    ("classify", "metrics", _swap(3, _METRIC["k_min"], _METRIC["k_max"])),
+    ("classify", "metrics", _set(0, _METRIC["n_min"], "0")),
+    ("classify", "metrics", _set(2, _METRIC["k_min"], "-1")),
     # Each once exited 3: "classifications must be ordered by block_index".
     ("routes", "classifications", _reverse),
     ("routes", "classifications", _repeat(0)),
@@ -456,6 +476,41 @@ def test_corrupt_metrics_or_classifications_exit_2(tmp_path, capsys, run_200, cm
     assert main(argv) == 2
     assert capsys.readouterr().err == f"input error: bad {key} file {path}: row {bad!r}\n"
     assert not (tmp_path / "c.csv").exists() and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("grouping", ["stream", "user"])
+@pytest.mark.parametrize("row, block", [(-1, "9"), (1, "-1")])
+def test_routes_on_block_missing_from_sessions_exits_2(tmp_path, capsys, run_200, grouping, row, block):
+    # Each once exited 0: stream grouping wrote the block's route, user grouping dropped it.
+    classifications = tmp_path / "classifications.csv"
+    lines = (run_200 / ARTIFACT_FILES["classifications"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    # The first or the last block, so that the rows stay ordered by block_index.
+    lines[row] = block + lines[row][lines[row].index(","):]
+    classifications.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["routes", "--classifications", str(classifications),
+                 "--sessions", str(run_200 / ARTIFACT_FILES["sessions"]), "--block-size", "50",
+                 "--grouping", grouping, "--out-dir", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"input error: classifications name block {block}, which the sessions lack\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_each_synth_flag_sets_its_profile_field(tmp_path):
+    flags = {
+        "--seed": ("seed", 7), "--users": ("n_users", 3), "--items": ("n_items", 4000),
+        "--sessions-per-block": ("sessions_per_block", 5), "--blocks": ("n_blocks", 6),
+        "--k-dist": ("k_distribution", "heavy-tail"), "--drift-k": ("drift_k", 1.5),
+        "--drift-q": ("drift_q", 0.5),
+    }
+    assert {name for name, _ in flags.values()} == {f.name for f in fields(SynthProfile)}
+    out = str(tmp_path / "log.csv")
+    for flag, (name, value) in flags.items():
+        with mock.patch.object(cli, "write_log", return_value=0) as write_log:
+            assert main(["synth", "--out", out, flag, str(value)]) == 0
+        write_log.assert_called_once_with(replace(SynthProfile(), **{name: value}), out)
+    with mock.patch.object(cli, "write_log", return_value=0) as write_log:
+        assert main(["synth", "--out", out]) == 0
+    write_log.assert_called_once_with(SynthProfile(), out)
 
 
 def test_sessions_time_outside_int64_exits_2(tmp_path, capsys):

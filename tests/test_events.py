@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -9,7 +10,7 @@ from array import array
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import logcompass.events as events_module
 from helpers import (
@@ -31,6 +32,7 @@ from logcompass.events import (
     ParseDiagnostic,
     TS_MAX_MS,
     TS_MIN_MS,
+    comma_columns,
     filter_events,
     parse_events,
 )
@@ -813,6 +815,41 @@ def test_parse_events_matches_per_line_parser():
         cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=6)))
         pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
         assert parse_events(pieces) == oracle_parse_events(pieces)
+
+    check()
+
+
+def _comma_texts(width):
+    """Texts of a, comma, LF and CR: any such text, or lines of width - 1 to
+    2 * width fields, most of width - 1, width or width + 1 fields, so that
+    both answers of comma_columns are drawn often."""
+    fields = st.sampled_from(["", "a", "aa"])
+    rows = st.one_of(
+        st.lists(fields, min_size=width, max_size=width),
+        st.lists(fields, min_size=width - 1, max_size=width + 1),
+        st.lists(fields, min_size=width - 1, max_size=2 * width),
+    )
+    lines = st.lists(st.tuples(rows.map(",".join), st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])),
+                     min_size=1, max_size=6).map(lambda ls: "".join(map("".join, ls)))
+    return st.one_of(
+        st.text(st.sampled_from("a,\n\r"), max_size=40),
+        lines,
+        lines.map(lambda text: text.removesuffix("\n")),  # the last line unterminated
+    )
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_comma_columns_are_csv_rows_transposed(width):
+    @settings(max_examples=400)
+    @given(_comma_texts(width))
+    def check(text):
+        # Without a quote, csv splits only at commas and line ends. An empty
+        # text holds no line, and comma_columns refuses it.
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        if rows and "\r" not in text and all(len(row) == width for row in rows):
+            assert comma_columns(text, width) == [list(col) for col in zip(*rows)]
+        else:
+            assert comma_columns(text, width) is None
 
     check()
 
