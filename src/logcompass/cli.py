@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args) -> PipelineConfig:
     """The one PipelineConfig of a command's flags, validated as `run`
-    validates it; a field whose flag was left out keeps its default."""
+    validates it; a field whose flag was left out keeps its default. synth
+    and report have no such flags, so theirs is all defaults."""
     flags = vars(args)
     settings, classifier = (
         {f.name: flags[f.name] for f in fields(cls) if f.name in flags}
@@ -169,82 +170,67 @@ def _diagnostics(args):
     return nullcontext()
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, cfg) -> str:
     profile = load_profile(args.profile) if args.profile else SynthProfile()
     flags = vars(args)
     profile = replace(profile, **{f.name: flags[f.name] for f in fields(SynthProfile) if f.name in flags})
     n = write_log(profile, args.out)
-    print(f"wrote {n} events to {args.out}")
-    return EXIT_OK
+    return f"wrote {n} events to {args.out}"
 
 
-def _cmd_ingest(args) -> int:
-    cfg = _config(args)
+def _cmd_ingest(args, cfg) -> str:
     with _diagnostics(args) as sink:
         sessions, *_ = pipeline.run_ingest(cfg, lambda key: Path(args.out), sink)
-    print(f"sessions: {len(sessions)}")
-    return EXIT_OK
+    return f"sessions: {len(sessions)}"
 
 
-def _cmd_metrics(args) -> int:
-    cfg = _config(args)
+def _cmd_metrics(args, cfg) -> str:
     sessions = pipeline.read_sessions_csv(Path(args.sessions))
     metrics = pipeline.run_metrics(sessions, cfg, _in_dir(cfg.out_dir))
-    print(f"blocks: {len(metrics)}")
-    return EXIT_OK
+    return f"blocks: {len(metrics)}"
 
 
-def _cmd_classify(args) -> int:
-    cfg = _config(args)
+def _cmd_classify(args, cfg) -> str:
     metrics = pipeline.read_metrics_csv(Path(args.metrics))
     classifications = pipeline.run_classify(metrics, cfg, lambda key: Path(args.out))
-    print(f"classified blocks: {len(classifications)}")
-    return EXIT_OK
+    return f"classified blocks: {len(classifications)}"
 
 
-def _cmd_routes(args) -> int:
-    cfg = _config(args)
+def _cmd_routes(args, cfg) -> str:
     classifications = pipeline.read_classifications_csv(Path(args.classifications))
     sessions = pipeline.read_sessions_csv(Path(args.sessions))
     routes, _ = pipeline.run_routes(classifications, sessions, cfg, _in_dir(cfg.out_dir))
-    print(f"routes: {len(routes)}")
-    return EXIT_OK
+    return f"routes: {len(routes)}"
 
 
-def _cmd_communities(args) -> int:
-    cfg = _config(args)
+def _cmd_communities(args, cfg) -> str:
     routes = pipeline.read_routes_csv(Path(args.routes))
     communities = pipeline.run_communities(routes, cfg, lambda key: Path(args.out))
-    print(f"communities: {len(communities)}")
-    return EXIT_OK
+    return f"communities: {len(communities)}"
 
 
-def _cmd_graph(args) -> int:
-    cfg = _config(args)
+def _cmd_graph(args, cfg) -> str:
     transitions = pipeline.read_transitions_csv(Path(args.transitions)) if args.transitions else None
-    for path in pipeline.run_graph(transitions, cfg, _in_dir(cfg.out_dir)):
-        print(f"wrote {path}")
-    return EXIT_OK
+    paths = pipeline.run_graph(transitions, cfg, _in_dir(cfg.out_dir))
+    return "\n".join(f"wrote {path}" for path in paths)
 
 
-def _cmd_run(args) -> int:
-    cfg = _config(args)
+def _cmd_run(args, cfg) -> str:
     with _diagnostics(args) as sink:
         report = pipeline.run_pipeline(cfg, sink)
-    print(pipeline.stats_text(report))
-    return EXIT_OK
+    return pipeline.stats_text(report)
 
 
-def _cmd_report(args) -> int:
-    print(pipeline.report_stats(args.artifacts))
-    return EXIT_OK
+def _cmd_report(args, cfg) -> str:
+    return pipeline.report_stats(args.artifacts)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        print(args.func(args, _config(args)))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

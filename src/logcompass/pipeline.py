@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .blocks import BlockMetrics, block_means, compute_variety_series, metric_bounds
-from .compass import build_base_graph
+from .compass import NODES, build_base_graph
 from .errors import ConfigError, InputError
 from .events import (
     COUNT_POLICIES,
@@ -49,6 +49,7 @@ from .routes import (
     TransitionGraph,
     build_transition_graph,
     detect_communities,
+    dominant_label,
     extract_routes,
     transition_edge_weights,
 )
@@ -78,9 +79,6 @@ GRAPH_FILES = {"canonical": "compass.canonical", "dot": "compass.dot", "graphml"
 def artifact_path(out_dir: Path | str, key: str) -> Path:
     """The file of an ARTIFACT_FILES or GRAPH_FILES key under out_dir."""
     return Path(out_dir) / (ARTIFACT_FILES.get(key) or GRAPH_FILES[key])
-
-
-_NODE_LABELS = tuple(sorted(NODE_BY_LABEL))
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,7 +261,7 @@ _METRIC_COLS = [
 _CLASSIFICATION_COLS = ["block_index", "n_tendency", "k_tendency", "stability", "label", "mismatch_cost"]
 _ROUTE_COLS = ["owner", "steps", "span_start", "span_end"]
 _TRANSITION_COLS = ["from", "to", "count"]
-_COMMUNITY_COLS = ["community_id", "size", *(f"count_{label}" for label in _NODE_LABELS), "position"]
+_COMMUNITY_COLS = ["community_id", "size", *(f"count_{label}" for label in NODES), "position"]
 # Rows per chunk that read_sessions_csv converts a column at a time and that
 # _write_csv joins into one write.
 _CHUNK_ROWS = 256
@@ -609,7 +607,7 @@ def write_communities_csv(
     columns = [
         [c.community_id for c in communities],
         [c.size for c in communities],
-        *([c.label_counts[label] for c in communities] for label in _NODE_LABELS),
+        *([c.label_counts[label] for c in communities] for label in NODES),
         # A community's compass position is its dominant label.
         [c.dominant for c in communities],
     ]
@@ -638,14 +636,6 @@ def classify_series(
     return [classify_block(m, bounds, cfg) for m in metrics[1:]]
 
 
-def block_user_map(sessions: SessionTable, block_size: int) -> dict[int, set[str]]:
-    users = sessions.user_hash
-    return {
-        b: set(users[i : i + block_size])
-        for b, i in enumerate(range(0, len(users), block_size))
-    }
-
-
 def routes_from_classifications(
     classifications: Sequence[BlockClassification],
     sessions: SessionTable,
@@ -659,7 +649,9 @@ def routes_from_classifications(
             raise InputError(f"classifications name block {c.block_index}, which the sessions lack")
     classified = [(c.block_index, c.node.label) for c in classifications]
     if grouping == "user":
-        routes = extract_routes(classified, "user", block_user_map(sessions, block_size))
+        users = sessions.user_hash
+        block_users = {b: set(users[b * block_size : (b + 1) * block_size]) for b, _ in classified}
+        routes = extract_routes(classified, "user", block_users)
     else:
         routes = extract_routes(classified, "stream")
     return routes, build_transition_graph(routes)
@@ -671,7 +663,7 @@ def _type_tally(
     """Sessions per compass type: ({label: {"sessions", "share_pct"}}, the
     number of classified sessions, the dominant label or None)."""
     q_of = {m.block_index: m.q for m in metrics}
-    per_label = dict.fromkeys(_NODE_LABELS, 0)
+    per_label = dict.fromkeys(NODES, 0)
     for c in classifications:
         q = q_of.get(c.block_index)
         if q is None:
@@ -682,7 +674,7 @@ def _type_tally(
         label: {"sessions": n, "share_pct": (100.0 * n / classified) if classified else 0.0}
         for label, n in per_label.items()
     }
-    dominant = min(_NODE_LABELS, key=lambda l: (-per_label[l], l)) if classified else None
+    dominant = dominant_label(per_label) if classified else None
     return types, classified, dominant
 
 
@@ -853,11 +845,9 @@ def report_stats(artifacts_dir: Path | str) -> str:
     route_count = len(read_routes_csv(path["routes"]))
     community_count = read_communities_count(path["communities"])
     types, classified, dominant = _type_tally(metrics, classifications)
-    # One q per block index, as the tally counts it.
-    total_sessions = sum({m.block_index: m.q for m in metrics}.values())
     return stats_text({
         "blocks": {"total": len(metrics), "classified": len(classifications)},
-        "sessions": {"total": total_sessions, "classified": classified},
+        "sessions": {"total": sum(m.q for m in metrics), "classified": classified},
         "types": types,
         "dominant_type": dominant,
         "route_count": route_count,

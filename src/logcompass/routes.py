@@ -81,8 +81,9 @@ def extract_routes(
 
     Stream grouping yields one route over all classified blocks. User
     grouping yields one route per user from the types of the classified
-    blocks that user appears in (needs block_users: block_index -> users;
-    a user contributes each block once).
+    blocks that user appears in (needs block_users: block_index -> users,
+    of which only the classified blocks are read; a user contributes each
+    block once).
     """
     if grouping not in GROUPINGS:
         raise ConfigError(f"unknown grouping {grouping!r} (expected one of {GROUPINGS})")
@@ -98,10 +99,8 @@ def extract_routes(
         raise ValueError("per-user grouping needs block_users")
     label_of = dict(classified)
     blocks_of: dict[str, list[int]] = {}
-    for block_index in sorted(block_users):
-        if block_index not in label_of:
-            continue  # unclassified blocks (e.g. the first) contribute no steps
-        for user in sorted(set(block_users[block_index])):
+    for block_index in label_of:
+        for user in set(block_users.get(block_index, ())):
             blocks_of.setdefault(user, []).append(block_index)
     return [
         SearchRoute(user, tuple(label_of[b] for b in bs), (bs[0], bs[-1]))
@@ -198,14 +197,18 @@ def _within(p1: _Profile, p2: _Profile, threshold: float) -> bool:
     return prev[lb] <= threshold
 
 
+def dominant_label(counts: Mapping[str, int]) -> str:
+    """The label with the highest count; the smallest label on a tie."""
+    return min(counts, key=lambda label: (-counts[label], label))
+
+
 def _community_of(group_members: list[SearchRoute]) -> tuple[tuple[str, ...], dict[str, int], str]:
     members = tuple(sorted(r.owner for r in group_members))
     counts = Counter()
     for r in group_members:
         counts.update(r.steps)
     label_counts = {label: counts.get(label, 0) for label in NODES}
-    dominant = min(label_counts, key=lambda l: (-label_counts[l], l))
-    return members, label_counts, dominant
+    return members, label_counts, dominant_label(label_counts)
 
 
 def detect_communities(

@@ -57,6 +57,50 @@ def test_stagewise_commands_chain(tmp_path, capsys):
         assert (stage / name).exists()
 
 
+_REPORT_TEXT = (
+    "blocks: 4 total, 3 classified\n"
+    "sessions: 48 total, 36 classified\n"
+    "type  sessions  share\n"
+    "a            24  66.67%\n"
+    "b            12  33.33%\n"
+    "c             0   0.00%\n"
+    "d             0   0.00%\n"
+    "e             0   0.00%\n"
+    "f             0   0.00%\n"
+    "dominant type: a\n"
+    "routes: 6\n"
+    "communities: 1\n"
+)
+
+
+def test_every_command_prints_its_recorded_stdout(tmp_path, monkeypatch, capsys):
+    # Relative paths, so that the lines that name a file are fixed texts.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    commands = [
+        (["synth", "--out", "log.csv", "--seed", "9", "--users", "6",
+          "--sessions-per-block", "12", "--blocks", "4"], "wrote 84 events to log.csv\n"),
+        (["ingest", "--input", "log.csv", "--out", "d/sessions.csv"], "sessions: 48\n"),
+        (["metrics", "--sessions", "d/sessions.csv", "--block-size", "12", "--out-dir", "d"],
+         "blocks: 4\n"),
+        (["classify", "--metrics", "d/block_metrics.csv", "--out", "d/classifications.csv"],
+         "classified blocks: 3\n"),
+        (["routes", "--classifications", "d/classifications.csv", "--sessions", "d/sessions.csv",
+          "--block-size", "12", "--grouping", "user", "--out-dir", "d"], "routes: 6\n"),
+        (["communities", "--routes", "d/routes.csv", "--linkage", "2", "--out", "d/communities.csv"],
+         "communities: 1\n"),
+        (["graph", "--out-dir", "d", "--export", "dot", "--export", "canonical"],
+         "wrote d/compass.dot\nwrote d/compass.canonical\n"),
+        (["report", "--artifacts", "d"], _REPORT_TEXT),
+        (["run", "--input", "log.csv", "--block-size", "12", "--grouping", "user",
+          "--linkage", "2", "--out", "r"], _REPORT_TEXT),
+    ]
+    for argv, want in commands:
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (want, ""), argv[0]
+
+
 def test_graph_single_format(tmp_path):
     out = tmp_path / "g"
     assert main(["graph", "--out-dir", str(out), "--export", "dot"]) == 0

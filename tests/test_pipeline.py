@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from array import array
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -39,7 +40,6 @@ from logcompass.pipeline import (
     GRAPH_FILES,
     PipelineConfig,
     SessionTable,
-    block_user_map,
     classify_series,
     metrics_from_summaries,
     parse_log_files,
@@ -70,6 +70,9 @@ from logcompass.taxonomy import (
     Triplet,
 )
 from logcompass.timeutil import format_timestamp_s
+
+
+_TRIPLET = Triplet(Tendency.MID, Tendency.MID, Stability.STABLE)
 
 
 @pytest.fixture()
@@ -244,6 +247,35 @@ def test_report_stats_table(tmp_path, corpus):
     assert pct_sum == pytest.approx(100.0, abs=0.1)
 
 
+def test_report_stats_tie_goes_to_the_smaller_label(tmp_path):
+    metrics = [BlockMetrics(0, 5, 1.0, 1.0, 1, 1, 1, 1)] + [
+        BlockMetrics(b, 4, 1.0, 1.0, 1, 1, 1, 1, 1.0, 1.0, 1.0) for b in (1, 2)
+    ]
+    write_metrics_csv(metrics, tmp_path / ARTIFACT_FILES["metrics"])
+    # d comes first in the blocks; b and d tie on 4 sessions each.
+    nodes = {n.label: n for n in ADMISSIBLE_NODES}
+    write_classifications_csv(
+        [BlockClassification(1, _TRIPLET, nodes["d"], 0.0), BlockClassification(2, _TRIPLET, nodes["b"], 0.0)],
+        tmp_path / ARTIFACT_FILES["classifications"],
+    )
+    write_routes_csv([], tmp_path / ARTIFACT_FILES["routes"])
+    write_communities_csv([], tmp_path / ARTIFACT_FILES["communities"])
+    assert report_stats(tmp_path) == (
+        "blocks: 3 total, 2 classified\n"
+        "sessions: 13 total, 8 classified\n"
+        "type  sessions  share\n"
+        "a             0   0.00%\n"
+        "b             4  50.00%\n"
+        "c             0   0.00%\n"
+        "d             4  50.00%\n"
+        "e             0   0.00%\n"
+        "f             0   0.00%\n"
+        "dominant type: b\n"
+        "routes: 0\n"
+        "communities: 0"
+    )
+
+
 def test_sessions_csv_round_trip(tmp_path):
     table = SessionTable(["u1", "u2"], array("q", [0, 5000]), array("q", [1000, 5000]), [2, 1])
     path = tmp_path / "sessions.csv"
@@ -341,9 +373,56 @@ def test_metrics_read_the_k_column():
     assert [m.beta for m in metrics] == [None, 1.25, 2.0]
 
 
-def test_block_user_map(tmp_path):
-    sessions = SessionTable(["u1", "u2", "u1"], array("q", [0, 1, 2]), array("q", [0, 1, 2]), [1, 1, 1])
-    assert block_user_map(sessions, 2) == {0: {"u1", "u2"}, 1: {"u1"}}
+# --- routes_from_classifications against a brute-force oracle -------------------
+
+
+@st.composite
+def _route_glue_inputs(draw):
+    """Users from six names over 1-60 sessions, a block size of 1-7 (so the
+    last block may be short), and an ordered subset of the blocks, block 0
+    included, classified with random labels."""
+    users = draw(st.lists(st.sampled_from([f"u{i}" for i in range(6)]), min_size=1, max_size=60))
+    block_size = draw(st.integers(1, 7))
+    n_blocks = math.ceil(len(users) / block_size)
+    blocks = sorted(draw(st.sets(st.integers(0, n_blocks - 1))))
+    classifications = [
+        BlockClassification(b, _TRIPLET, draw(st.sampled_from(ADMISSIBLE_NODES)), 0.0) for b in blocks
+    ]
+    n = len(users)
+    table = SessionTable(users, array("q", range(n)), array("q", range(n)), [1] * n)
+    return table, block_size, classifications
+
+
+def _oracle_routes(users, block_size, classifications, grouping):
+    label_of = {c.block_index: c.node.label for c in classifications}
+    if grouping == "stream":
+        owners = {"stream": sorted(label_of)} if label_of else {}
+    else:
+        owners = {}
+        for i, user in enumerate(users):
+            b = i // block_size
+            if b in label_of and b not in owners.setdefault(user, []):
+                owners[user].append(b)
+        owners = {user: bs for user, bs in owners.items() if bs}
+    return [
+        SearchRoute(owner, tuple(label_of[b] for b in bs), (bs[0], bs[-1]))
+        for owner, bs in sorted(owners.items())
+    ]
+
+
+@given(_route_glue_inputs(), st.sampled_from(["stream", "user"]))
+@example(  # u5 is only in block 0, which is not classified
+    (SessionTable(["u5", "u1", "u1", "u2"], array("q", range(4)), array("q", range(4)), [1] * 4), 2,
+     [BlockClassification(1, _TRIPLET, ADMISSIBLE_NODES[2], 0.0)]),
+    "user",
+)
+def test_routes_from_classifications_matches_oracle(inputs, grouping):
+    table, block_size, classifications = inputs
+    routes, transitions = routes_from_classifications(classifications, table, block_size, grouping)
+    want = _oracle_routes(table.user_hash, block_size, classifications, grouping)
+    assert routes == want
+    pairs = Counter(pair for r in want for pair in zip(r.steps, r.steps[1:]))
+    assert transitions.counts == dict(pairs)
 
 
 # --- the SessionTable contract ---------------------------------------------------
