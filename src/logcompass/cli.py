@@ -164,6 +164,13 @@ def _in_dir(out_dir: Path) -> pipeline.PathOf:
     return path
 
 
+def _to_file(out: str) -> pipeline.PathOf:
+    """path(key) for a stage function that writes the one file out; its
+    directory is made now, so that a bad --out fails before the stage runs."""
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    return lambda key: Path(out)
+
+
 def _diagnostics(args):
     if args.diagnostics:
         return open(args.diagnostics, "w", encoding="utf-8", newline="")
@@ -180,7 +187,7 @@ def _cmd_synth(args, cfg) -> str:
 
 def _cmd_ingest(args, cfg) -> str:
     with _diagnostics(args) as sink:
-        sessions, *_ = pipeline.run_ingest(cfg, lambda key: Path(args.out), sink)
+        sessions, *_ = pipeline.run_ingest(cfg, _to_file(args.out), sink)
     return f"sessions: {len(sessions)}"
 
 
@@ -192,7 +199,7 @@ def _cmd_metrics(args, cfg) -> str:
 
 def _cmd_classify(args, cfg) -> str:
     metrics = pipeline.read_metrics_csv(Path(args.metrics))
-    classifications = pipeline.run_classify(metrics, cfg, lambda key: Path(args.out))
+    classifications = pipeline.run_classify(metrics, cfg, _to_file(args.out))
     return f"classified blocks: {len(classifications)}"
 
 
@@ -205,7 +212,7 @@ def _cmd_routes(args, cfg) -> str:
 
 def _cmd_communities(args, cfg) -> str:
     routes = pipeline.read_routes_csv(Path(args.routes))
-    communities = pipeline.run_communities(routes, cfg, lambda key: Path(args.out))
+    communities = pipeline.run_communities(routes, cfg, _to_file(args.out))
     return f"communities: {len(communities)}"
 
 

@@ -10,16 +10,15 @@ Malformed lines never abort a parse; each one yields a diagnostic instead.
 Events are grouped by user, each user's in input order, which is all that
 ``pipeline.sessionize_summaries`` needs to build sessions.
 
-``parse_log_text`` reads a format-a file a segment of whole lines at a
-time. A segment of valid three-field lines is split by ``comma_columns``,
-one ``str.split`` that pipeline.read_sessions_csv also splits sessions.csv
-with, and its timestamps are converted by a ``map()`` of ``fromisoformat``,
-with no Python function called per line; a segment that fails any check (a
-tag, a bad or mixed-kind timestamp, a CR, an empty field, text that is not
-UTF-8) is parsed line by line instead, by ``_delimited_event``, the one
-definition of the format's rules, so events, diagnostics and line numbers
-do not depend on the path taken. ``parse_events`` and format b are parsed
-line by line.
+``parse_log_text`` reads a file a segment of whole lines at a time. A
+format-a segment of valid three-field lines is split by ``comma_columns``,
+which pipeline.read_sessions_csv also splits sessions.csv with, and its
+timestamps are converted by a ``map()`` of ``fromisoformat``, with no Python
+function called per line. Every other segment, and every line given to
+``parse_events``, goes line by line through ``_line_events`` and the
+format's one definition of its rules, so events, diagnostics and line
+numbers do not depend on the path taken. Both paths feed ``_add_events``,
+the one function that groups events by user.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ COUNT_POLICIES = ("distinct", "raw")
 # makes whether a line is refused depend on the line alone.
 MAX_NESTING = 200
 DEFAULT_GAP_SECONDS = 1800.0
-# Characters per segment of a format-a file, read on to the end of a line.
-# One tagged or malformed line sends its whole segment, after a failed bulk
-# attempt, to the per-line loop; small segments keep a log with a few such
-# lines from parsing slower than line by line, and keep the columns of one
-# segment well below the memory of the groups they fill.
+# Characters per segment of a log file, read on to the end of a line. In
+# format a, one tagged or malformed line sends its whole segment, after a
+# failed bulk attempt, to the per-line loop; small segments keep a log with a
+# few such lines from parsing slower than line by line, and keep the lines
+# or columns of one segment well below the memory of the groups they fill.
 _SEGMENT_CHARS = 2048
 
 
@@ -87,6 +86,11 @@ class EventGroups:
 
     groups: dict[str, Group]
     count: int
+
+    @classmethod
+    def of(cls, groups: dict[str, Group]) -> EventGroups:
+        """The EventGroups of groups, counting their events."""
+        return cls(groups, sum(len(g[0]) for g in groups.values()))
 
     def __len__(self) -> int:
         return self.count
@@ -134,8 +138,8 @@ def parse_events(
     """
     groups: dict[str, Group] = {}
     diags: list[ParseDiagnostic] = []
-    _parse_lines(lines, _line_parser(log_format), 1, groups, diags)
-    return EventGroups(groups, sum(len(g[0]) for g in groups.values())), diags
+    _add_events(groups, _line_events(lines, _line_parser(log_format), 1, diags))
+    return EventGroups.of(groups), diags
 
 
 def _line_parser(log_format: str):
@@ -150,40 +154,33 @@ def parse_log_text(fh: IO[str], log_format: str, groups: dict[str, Group]) -> li
     open() does by default, to groups, as parse_events parses its lines;
     returns the file's diagnostics, numbered from its first line.
 
-    Format a is read _SEGMENT_CHARS characters at a time, carried on to the
-    end of a line; such a segment is whole lines split at LF alone, which is
-    how the file iterates, so no line needs to be made a str of its own.
+    The file is read _SEGMENT_CHARS characters at a time, carried on to the
+    end of a line, so a segment is whole lines, split at LF alone as the file
+    iterates; a format-a segment that the bulk split takes makes no str per line.
     """
+    event_of = _line_parser(log_format)
     diags: list[ParseDiagnostic] = []
-    if _line_parser(log_format) is _record_event:
-        _parse_lines(fh, _record_event, 1, groups, diags)
-        return diags
     line_no = 1
     while text := fh.read(_SEGMENT_CHARS) + fh.readline():
-        cols = _delimited_columns(text)
-        if cols is None:
-            # The file's lines, split at LF only, as the file splits them
-            # after translating its line ends. _delimited_event reads a line
-            # alike with or without its LF.
-            lines = text.split("\n")
-            if not lines[-1]:
-                del lines[-1]
-            _parse_lines(lines, _delimited_event, line_no, groups, diags)
-            line_no += len(lines)
-        else:
-            _add_columns(groups, *cols)
+        cols = _delimited_columns(text) if event_of is _delimited_event else None
+        if cols is not None:
+            _add_events(groups, zip(*cols, repeat(None)))
             line_no += len(cols[0])
+            continue
+        # The file's lines, split at LF as the file splits them after it
+        # translates line ends; each format reads a line alike with or without its LF.
+        lines = text.split("\n")
+        if not lines[-1]:
+            del lines[-1]
+        _add_events(groups, _line_events(lines, event_of, line_no, diags))
+        line_no += len(lines)
     return diags
 
 
-def _parse_lines(
-    lines: Iterable[str], event_of, first_line_no: int, groups: dict[str, Group], diags: list[ParseDiagnostic]
-) -> None:
-    """Add the events of lines, one line at a time, to groups, and a
-    diagnostic for each malformed line; the lines are numbered from
-    first_line_no."""
-    intern = sys.intern
-    group_of = groups.get
+def _line_events(lines: Iterable[str], event_of, first_line_no: int, diags: list[ParseDiagnostic]):
+    """The (ts_ms, user_hash, item_id, source_tag) event of each well-formed
+    line, in order; a diagnostic for each malformed line goes to diags, the
+    lines numbered from first_line_no."""
     for line_no, raw in enumerate(lines, first_line_no):
         if not raw.isascii() and not _is_utf8(raw):
             diags.append(ParseDiagnostic(line_no, "invalid UTF-8"))
@@ -191,8 +188,17 @@ def _parse_lines(
         event = event_of(raw)
         if type(event) is str:
             diags.append(ParseDiagnostic(line_no, event))
-            continue
-        ts, user, item, tag = event
+        else:
+            yield event
+
+
+def _add_events(groups: dict[str, Group], events: Iterable[tuple[int, str, str, str | None]]) -> None:
+    """Add (ts_ms, user_hash, item_id, source_tag) events to groups, each
+    after its user's earlier ones; equal items and equal tags become one
+    interned object."""
+    intern = sys.intern
+    group_of = groups.get
+    for ts, user, item, tag in events:
         group = group_of(user)
         if group is None:
             group = groups[user] = (array("q"), [], [])
@@ -246,20 +252,6 @@ def _delimited_columns(text: str) -> tuple[list[int], list[str], list[str]] | No
         return None
 
 
-def _add_columns(groups: dict[str, Group], ms: list[int], users: list[str], items: list[str]) -> None:
-    """Add untagged events, given as columns, to groups, as _parse_lines
-    would add them one at a time."""
-    group_of = groups.get
-    for ts, user, item in zip(ms, users, map(sys.intern, items)):
-        group = group_of(user)
-        if group is None:
-            group = groups[user] = (array("q"), [], [])
-        group[0].append(ts)
-        group[1].append(item)
-        if group[2]:
-            group[2].append(None)
-
-
 def _is_utf8(line: str) -> bool:
     """False for text holding lone surrogates, which is how a file opened with
     ``errors="surrogateescape"`` carries bytes that are not UTF-8."""
@@ -301,10 +293,11 @@ def _nesting(line: str) -> int:
     return max(accumulate(1 if b in "[{" else -1 for b in brackets), default=0)
 
 
-# A stripped line has no JSON whitespace around it, so a raw_decode that takes
-# the whole line yields what json.loads would, without loads's wrapper; any
-# other line goes to loads, which words the diagnostic.
-_raw_decode = json.JSONDecoder().raw_decode
+# A stripped line has no JSON whitespace around it, so a scan that takes the
+# whole line yields what json.loads would, without the Python wrappers of
+# loads and raw_decode; any other line goes to loads, which words the
+# diagnostic.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _record_event(raw: str) -> tuple[int, str, str, str | None] | str:
@@ -321,8 +314,8 @@ def _record_event(raw: str) -> tuple[int, str, str, str | None] | str:
         if _nesting(line) > MAX_NESTING:
             return "invalid record: nested too deeply"
     try:
-        rec, end = _raw_decode(line)
-    except (ValueError, RecursionError):
+        rec, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
         end = -1
     if end != len(line):
         try:
@@ -389,4 +382,4 @@ def filter_events(events: EventGroups, rules: FilterRules) -> EventGroups:
             kept[user] = (
                 array("q", compress(ts, mask)), list(compress(items, mask)), list(compress(tags, mask))
             )
-    return EventGroups(kept, sum(len(g[0]) for g in kept.values()))
+    return EventGroups.of(kept)

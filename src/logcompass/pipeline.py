@@ -245,10 +245,9 @@ def parse_log_files(
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
         malformed += len(diags)
-        for d in diags:
-            print(d, file=sink)
-    count = sum(len(g[0]) for g in groups.values())
-    return EventGroups(groups, count), count + malformed, malformed
+        sink.writelines(f"{d}\n" for d in diags)
+    events = EventGroups.of(groups)
+    return events, len(events) + malformed, malformed
 
 
 # --- artifact writers / readers -------------------------------------------

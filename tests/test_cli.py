@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shlex
 import shutil
 from contextlib import redirect_stdout
 from dataclasses import fields, replace
@@ -10,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logcompass import cli
+from logcompass import cli, pipeline
 from logcompass.cli import main
 from logcompass.pipeline import _METRIC_COLS, ARTIFACT_FILES, GRAPH_FILES
 from logcompass.synth import SynthProfile
@@ -99,6 +100,38 @@ def test_every_command_prints_its_recorded_stdout(tmp_path, monkeypatch, capsys)
         assert main(argv) == 0, argv
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (want, ""), argv[0]
+
+
+def test_readme_stage_commands_run_in_an_empty_directory(tmp_path, monkeypatch, capsys):
+    # The README's synth line and its stage-by-stage block, scaled down to 4
+    # blocks of 20 sessions. ingest once exited 2 here, after parsing the
+    # whole log, because nothing had made out/ yet.
+    monkeypatch.chdir(tmp_path)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synth = next(line for line in readme.splitlines() if line.startswith("logcompass synth "))
+    block = readme.split("# stage by stage\n", 1)[1].split("```", 1)[0]
+    small = {"10000": "20", "100": "4"}
+    for line in [synth, *block.replace("\\\n", " ").splitlines()]:
+        program, *argv = (small.get(word, word) for word in shlex.split(line))
+        assert program == "logcompass"
+        assert main(argv) == 0, line
+    assert "blocks: 4 total, 3 classified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["ingest", "--input", "log.csv"], "parse_log_files"),
+    (["classify", "--metrics", f"out/{ARTIFACT_FILES['metrics']}"], "classify_series"),
+    (["communities", "--routes", f"out/{ARTIFACT_FILES['routes']}"], "detect_communities"),
+])
+def test_out_under_a_file_exits_2_before_the_stage_runs(tmp_path, monkeypatch, capsys, run_200, argv, stage):
+    # ingest once parsed and sessionized the whole log before it found that
+    # it could not write --out.
+    monkeypatch.chdir(run_200.parent)
+    blocker = tmp_path / "F"
+    blocker.write_text("", encoding="utf-8")
+    with mock.patch.object(pipeline, stage, side_effect=AssertionError(stage)):
+        assert main([*argv, "--out", str(blocker / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_graph_single_format(tmp_path):

@@ -771,7 +771,7 @@ def test_any_bytes_parse_to_events_and_diagnostics(tmp_path_factory, fmt):
     check()
 
 
-# --- format a in segments --------------------------------------------------------
+# --- log files in segments -------------------------------------------------------
 
 _A_TIMESTAMPS = st.sampled_from([
     "2021-03-01T10:00:00", "2021-03-01T10:00:00Z", "2021-03-01T10:00:00+05:30",
@@ -787,12 +787,34 @@ _A_LINES = st.one_of(
     st.builds("{},{},{},{}".format, _A_TIMESTAMPS, _A_FIELDS, _A_FIELDS, st.sampled_from(["bot", "Mozilla", ""])),
     st.lists(_A_FIELDS, min_size=0, max_size=5).map(",".join),
 )
-# Lines as an iterable yields them: each but the last ends in a line end.
-_A_LOG_LINES = st.tuples(
-    st.lists(st.tuples(_A_LINES, st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])), max_size=12),
-    st.sampled_from(["", "\n"]),
-    _A_LINES,
-).map(lambda t: [line + end for line, end in t[0]] + ([t[2] + t[1]] if t[1] or t[2] else []))
+# A format-b line longer than the default segment, and one that nests one
+# level past the cap.
+_LONG_RECORD = json.dumps({"ts": 0, "user": "u1", "item": "/" + "x" * 3000, "agent": "bot"})
+_NESTED_RECORD = '{"ts": 0, "user": "u1", "item": "i", "x": ' + "[" * MAX_NESTING + "]" * MAX_NESTING + "}"
+_B_LINES = st.one_of(
+    _RECORD_LINES.map(lambda line: line.removesuffix("\n")),
+    # valid records of two users, tagged or not
+    st.builds(
+        lambda user, item, agent: json.dumps({"ts": 0, "user": user, "item": item, "agent": agent}),
+        st.sampled_from(["u1", "u2"]), st.sampled_from(["/i1", "/i2"]),
+        st.sampled_from([None, "", "bot", "Mozilla"]),
+    ),
+    st.sampled_from([_LONG_RECORD, _NESTED_RECORD]),
+)
+
+
+def _log_lines(lines):
+    """Lines as an iterable yields them: each but the last ends in LF, CRLF
+    or a lone CR, and the last may be unterminated."""
+    return st.tuples(
+        st.lists(st.tuples(lines, st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])), max_size=12),
+        st.sampled_from(["", "\n"]),
+        lines,
+    ).map(lambda t: [line + end for line, end in t[0]] + ([t[2] + t[1]] if t[1] or t[2] else []))
+
+
+_A_LOG_LINES = _log_lines(_A_LINES)
+_LOG_LINES = {"a": _A_LOG_LINES, "b": _log_lines(_B_LINES)}
 
 
 @pytest.fixture(params=[1, 2, 3, None], ids=["seg1", "seg2", "seg3", "default"])
@@ -854,24 +876,34 @@ def test_comma_columns_are_csv_rows_transposed(width):
     check()
 
 
-def _check_parse_log_files(path, text):
+def _check_parse_log_files(path, text, fmt):
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        want, diags = oracle_parse_events(fh)
+        want, diags = oracle_parse_events(fh, fmt)
     sink = io.StringIO()
-    assert parse_log_files([path], "a", sink) == (want, len(want) + len(diags), len(diags))
+    got = parse_log_files([path], fmt, sink)
+    assert got == (want, len(want) + len(diags), len(diags))
     assert sink.getvalue() == "".join(f"{d}\n" for d in diags)
+    # Each item and tag is the interned copy of the oracle's text.
+    for (_, items, tags), (_, want_items, want_tags) in zip(got[0].groups.values(), want.groups.values()):
+        assert [id(x) for x in items] == [id(sys.intern(x)) for x in want_items]
+        assert [id(x) for x in tags] == [id(x and sys.intern(x)) for x in want_tags]
 
 
-def test_parse_log_files_segments_match_per_line_parser(tmp_path_factory, segment):
-    @given(_A_LOG_LINES)
+@pytest.mark.parametrize("fmt", ["a", "b"])
+def test_parse_log_files_segments_match_per_line_parser(tmp_path_factory, segment, fmt):
+    @given(_LOG_LINES[fmt])
     def check(lines):
-        _check_parse_log_files(tmp_path_factory.mktemp("log") / "log", "".join(lines))
+        _check_parse_log_files(tmp_path_factory.mktemp("log") / "log", "".join(lines), fmt)
 
     check()
 
 
-@pytest.mark.parametrize("text", [
+# The format-b records of the uneven-lines cases.
+_B1, _B2, _B3 = ('{"ts": %d, "user": "u%d", "item": "%s"}' % r for r in [(0, 1, "a"), (1, 2, "b"), (2, 1, "c")])
+
+
+@pytest.mark.parametrize("fmt, text", [("a", text) for text in [
     # Two commas per line on average, but not on every line.
     "2021-03-01T10:00:00,u1,a,bot\n2021-03-01T10:00:01,u1\n",
     "2021-03-01T10:00:00,u1\n2021-03-01T10:00:01,u1,b,bot\n2021-03-01T10:00:02,u2,c\n",
@@ -882,9 +914,15 @@ def test_parse_log_files_segments_match_per_line_parser(tmp_path_factory, segmen
     "2021-03-01T10:00:00,u1,a\n2021-03-01T10:00:01,u1,b,2021-03-01T10:00:02,u2,c\n",
     # Valid three-field lines, then a tagged one.
     "2021-03-01T10:00:00,u1,a\n2021-03-01T10:00:01,u1,b\n2021-03-01T10:00:02,u1,c,bot",
+]] + [
+    # Lines ended by LF, CRLF and a lone CR, one of them empty, the last unterminated.
+    pytest.param("b", f"{_B1}\n{_LONG_RECORD}\r\n\r{_B2}\r{_B3}", id="b-ends"),
+    # A line longer than a segment, and one nested past the cap.
+    pytest.param("b", f"{_B1}\n{_LONG_RECORD}\n{_B2}\n", id="b-long"),
+    pytest.param("b", f"{_NESTED_RECORD}\r\n{_B1}\r\n{_NESTED_RECORD}", id="b-nested"),
 ])
-def test_parse_log_files_reads_uneven_lines(tmp_path, segment, text):
-    _check_parse_log_files(tmp_path / "log", text)
+def test_parse_log_files_reads_uneven_lines(tmp_path, segment, fmt, text):
+    _check_parse_log_files(tmp_path / "log", text, fmt)
 
 
 @pytest.mark.parametrize("lines", [
