@@ -155,7 +155,9 @@ def _config(args) -> PipelineConfig:
 
 def _in_dir(out_dir: Path) -> pipeline.PathOf:
     """path(key) for a stage function: the key's file under out_dir, which
-    is made on first use."""
+    is made on first use; an out_dir under a file fails now, before the stage."""
+    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+        raise InputError(f"cannot make directory {out_dir}: a file is in the way")
 
     def path(key: str) -> Path:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,8 +194,8 @@ def _cmd_ingest(args, cfg) -> str:
 
 
 def _cmd_metrics(args, cfg) -> str:
-    sessions = pipeline.read_sessions_csv(Path(args.sessions))
-    metrics = pipeline.run_metrics(sessions, cfg, _in_dir(cfg.out_dir))
+    k_items = pipeline.read_sessions_csv(Path(args.sessions), "k_items")
+    metrics = pipeline.run_metrics(k_items, cfg, _in_dir(cfg.out_dir))
     return f"blocks: {len(metrics)}"
 
 
@@ -205,8 +207,8 @@ def _cmd_classify(args, cfg) -> str:
 
 def _cmd_routes(args, cfg) -> str:
     classifications = pipeline.read_classifications_csv(Path(args.classifications))
-    sessions = pipeline.read_sessions_csv(Path(args.sessions))
-    routes, _ = pipeline.run_routes(classifications, sessions, cfg, _in_dir(cfg.out_dir))
+    users = pipeline.read_sessions_csv(Path(args.sessions), "user_hash")
+    routes, _ = pipeline.run_routes(classifications, users, cfg, _in_dir(cfg.out_dir))
     return f"routes: {len(routes)}"
 
 

@@ -4,10 +4,11 @@ Stage order: ingest (parse, filter, sessionize) -> block metrics ->
 classification -> routes -> communities -> graph exports -> report. Each
 stage is one run_* function that computes it from the results of earlier
 stages and writes its artifacts; run_pipeline calls them in order, and each
-CLI stage command calls one on artifacts read back from disk. All outputs
-are deterministic: fixed row orders, repr-rendered floats, sorted JSON
-keys, LF line endings, and every csv artifact is written by one writer and
-read through one reader front end.
+CLI stage command calls one on artifacts read back from disk. Of
+sessions.csv, metrics reads back only k_items and routes only user_hash,
+though every field is checked. All outputs are deterministic: fixed row
+orders, repr-rendered floats, sorted JSON keys, LF line endings, and every
+csv artifact is written by one writer and read through one reader front end.
 """
 
 from __future__ import annotations
@@ -374,13 +375,9 @@ def write_sessions_csv(table: SessionTable, path: Path) -> None:
     _write_csv(path, _SESSION_COLS, columns, text_cols=(1,))
 
 
-def _count_lf(path: Path) -> int:
-    with open(path, "rb") as fh:
-        return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
-
-
-def read_sessions_csv(path: Path) -> SessionTable:
-    """The sessions of a sessions.csv file, checked as they are read.
+def read_sessions_csv(path: Path, column: str) -> list[int] | list[str]:
+    """The "k_items" or "user_hash" column of a sessions.csv file; every
+    field of every row is checked as it is read, and len() is the row count.
 
     Under the exact header, the file is read in segments of whole lines that
     events.comma_columns, the format-a reader's splitter, splits without
@@ -388,39 +385,34 @@ def read_sessions_csv(path: Path) -> SessionTable:
     reads the rest. Both feed one converter, so either way the rows, checks
     and errors are csv's.
     """
-    # Columns sized for one row per LF: the header's LF pays for a last line
+    user_column = {"k_items": False, "user_hash": True}[column]
+    # A column sized for one row per LF: the header's LF pays for a last line
     # that has none. Only bare CRs can end more rows, and slice assignment
-    # grows a column past its end.
-    size = _count_lf(path)
-    users: list[str] = [""] * size
-    starts = array("q", (0,)) * size
-    ends = array("q", (0,)) * size
-    ks: list[int] = [0] * size
+    # grows the column past its end.
+    with open(path, "rb") as fh:
+        size = sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
+    kept: list = ([""] if user_column else [0]) * size
     n = 0
 
     def take(cols: Sequence[Sequence[str]]) -> bool:
         """Fill the next rows from the columns of a run of rows; False, and
         nothing filled, if any of those rows fails a check."""
         nonlocal n
-        # map() over a column converts without a bytecode loop per row,
-        # which pays for filling the array('q') columns.
+        # map() over a column converts without a bytecode loop per row.
         try:
             ids = list(map(int, cols[0]))
             # k_items holds few distinct texts, each converted once.
             k_of = {text: int(text) for text in set(cols[4])}
-            # array() fills faster from a list than from an iterator.
-            chunk_starts = array("q", list(map(int, cols[2])))
-            chunk_ends = array("q", list(map(int, cols[3])))
+            # array('q') refuses a time outside the signed 64-bit range; it
+            # fills faster from a list than from an iterator.
+            array("q", list(map(int, chain(cols[2], cols[3]))))
         except (IndexError, ValueError, OverflowError):
             return False
         end = n + len(ids)
         if min(k_of.values()) < 1 or ids != list(range(n, end)):
             return False
         # One str object per distinct user, however many sessions name it.
-        users[n:end] = map(sys.intern, cols[1])
-        starts[n:end] = chunk_starts
-        ends[n:end] = chunk_ends
-        ks[n:end] = map(k_of.__getitem__, cols[4])
+        kept[n:end] = map(sys.intern, cols[1]) if user_column else map(k_of.__getitem__, cols[4])
         n = end
         return True
 
@@ -453,8 +445,8 @@ def read_sessions_csv(path: Path) -> SessionTable:
                     _raise_first_bad_session_row(path, chunk, n)
             if not chunk:
                 break
-    del users[n:], starts[n:], ends[n:], ks[n:]
-    return SessionTable(users, starts, ends, ks)
+    del kept[n:]
+    return kept
 
 
 def _raise_first_bad_session_row(path: Path, rows: list[list[str]], first: int) -> NoReturn:
@@ -590,11 +582,12 @@ def write_transitions_csv(tg: TransitionGraph, path: Path) -> None:
 
 
 def read_transitions_csv(path: Path) -> TransitionGraph:
+    """A row is an InputError unless it names two labels, a pair no row before names, and a count >= 1."""
     counts: dict[tuple[str, str], int] = {}
     with _reading(path, "transitions", _TRANSITION_COLS) as rows:
         for row in rows:
             count = int(row[2])
-            if row[0] not in NODE_BY_LABEL or row[1] not in NODE_BY_LABEL or count < 1:
+            if count < 1 or (row[0], row[1]) in counts or not NODE_BY_LABEL.keys() >= {row[0], row[1]}:
                 raise _row_error(path, "transitions", row)
             counts[row[0], row[1]] = count
     return TransitionGraph(counts)
@@ -614,15 +607,23 @@ def write_communities_csv(
 
 
 def read_communities_count(path: Path) -> int:
+    """The number of rows of a communities file. A row is an InputError
+    unless its id is its row number from 0, its size and label counts are
+    integers of at least 1 and 0, and its position is a label."""
+    m = 0
     with _reading(path, "communities", _COMMUNITY_COLS) as rows:
-        return sum(1 for _ in rows)
+        for m, row in enumerate(rows, 1):
+            size, *counts = map(int, row[1:8])
+            if int(row[0]) != m - 1 or size < 1 or min(counts) < 0 or row[8] not in NODE_BY_LABEL:
+                raise _row_error(path, "communities", row)
+    return m
 
 
 # --- stages -----------------------------------------------------------------
 
 
-def metrics_from_summaries(sessions: SessionTable, block_size: int) -> list[BlockMetrics]:
-    return compute_variety_series(block_means(sessions.k_items, block_size))
+def metrics_from_summaries(k_items: Sequence[int], block_size: int) -> list[BlockMetrics]:
+    return compute_variety_series(block_means(k_items, block_size))
 
 
 def classify_series(
@@ -637,18 +638,17 @@ def classify_series(
 
 def routes_from_classifications(
     classifications: Sequence[BlockClassification],
-    sessions: SessionTable,
+    users: Sequence[str],
     block_size: int,
     grouping: str,
 ) -> tuple[list[SearchRoute], TransitionGraph]:
     # The classifications are ordered by block_index, so the first and the
     # last name the lowest and the highest block.
     for c in classifications[:1] + classifications[-1:]:
-        if not 0 <= c.block_index < math.ceil(len(sessions) / block_size):
+        if not 0 <= c.block_index < math.ceil(len(users) / block_size):
             raise InputError(f"classifications name block {c.block_index}, which the sessions lack")
     classified = [(c.block_index, c.node.label) for c in classifications]
     if grouping == "user":
-        users = sessions.user_hash
         block_users = {b: set(users[b * block_size : (b + 1) * block_size]) for b, _ in classified}
         routes = extract_routes(classified, "user", block_users)
     else:
@@ -730,8 +730,8 @@ def run_ingest(
     return sessions, parsed, kept, malformed
 
 
-def run_metrics(sessions: SessionTable, cfg: PipelineConfig, path: PathOf) -> list[BlockMetrics]:
-    metrics = metrics_from_summaries(sessions, cfg.block_size)
+def run_metrics(k_items: Sequence[int], cfg: PipelineConfig, path: PathOf) -> list[BlockMetrics]:
+    metrics = metrics_from_summaries(k_items, cfg.block_size)
     write_metrics_csv(metrics, path("metrics"))
     write_metrics_jsonl(metrics, path("metrics_records"))
     return metrics
@@ -747,13 +747,11 @@ def run_classify(
 
 def run_routes(
     classifications: Sequence[BlockClassification],
-    sessions: SessionTable,
+    users: Sequence[str],
     cfg: PipelineConfig,
     path: PathOf,
 ) -> tuple[list[SearchRoute], TransitionGraph]:
-    routes, transitions = routes_from_classifications(
-        classifications, sessions, cfg.block_size, cfg.grouping
-    )
+    routes, transitions = routes_from_classifications(classifications, users, cfg.block_size, cfg.grouping)
     write_routes_csv(routes, path("routes"))
     write_transitions_csv(transitions, path("transitions"))
     return routes, transitions
@@ -798,11 +796,11 @@ def run_pipeline(cfg: PipelineConfig, diagnostics: IO[str] | None = None) -> dic
     try:
         sessions, parsed, kept, malformed = run_ingest(cfg, target, diagnostics)
         stage = "metrics"
-        metrics = run_metrics(sessions, cfg, target)
+        metrics = run_metrics(sessions.k_items, cfg, target)
         stage = "classify"
         classifications = run_classify(metrics, cfg, target)
         stage = "routes"
-        routes, transitions = run_routes(classifications, sessions, cfg, target)
+        routes, transitions = run_routes(classifications, sessions.user_hash, cfg, target)
         stage = "communities"
         communities = run_communities(routes, cfg, target)
         stage = "graph"

@@ -1,12 +1,11 @@
 import math
-from array import array
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import Block, compute_block_means, compute_histogram, partition_blocks
 from logcompass.blocks import BlockMetrics, block_means, compute_variety_series, metric_bounds
-from logcompass.pipeline import SessionTable, metrics_from_summaries
+from logcompass.pipeline import metrics_from_summaries
 
 
 def block_of(ks, index=0):
@@ -204,5 +203,4 @@ def test_block_means_equal_the_oracle_chain(ks, size):
     blocks = partition_blocks(ks, size)
     want = [compute_block_means(compute_histogram(b), b) for b in blocks]
     assert block_means(ks, size) == want
-    table = SessionTable(["u"] * len(ks), array("q", range(len(ks))), array("q", range(len(ks))), ks)
-    assert metrics_from_summaries(table, size) == compute_variety_series(want)
+    assert metrics_from_summaries(ks, size) == compute_variety_series(want)

@@ -119,19 +119,31 @@ def test_readme_stage_commands_run_in_an_empty_directory(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("argv, stage", [
-    (["ingest", "--input", "log.csv"], "parse_log_files"),
-    (["classify", "--metrics", f"out/{ARTIFACT_FILES['metrics']}"], "classify_series"),
-    (["communities", "--routes", f"out/{ARTIFACT_FILES['routes']}"], "detect_communities"),
+    (["ingest", "--input", "log.csv", "--out"], "parse_log_files"),
+    (["classify", "--metrics", f"out/{ARTIFACT_FILES['metrics']}", "--out"], "classify_series"),
+    (["communities", "--routes", f"out/{ARTIFACT_FILES['routes']}", "--out"], "detect_communities"),
+    (["metrics", "--sessions", f"out/{ARTIFACT_FILES['sessions']}", "--out-dir"],
+     "metrics_from_summaries"),
+    (["routes", "--classifications", f"out/{ARTIFACT_FILES['classifications']}",
+      "--sessions", f"out/{ARTIFACT_FILES['sessions']}", "--block-size", "50", "--out-dir"],
+     "routes_from_classifications"),
+    (["graph", "--out-dir"], "build_base_graph"),
 ])
-def test_out_under_a_file_exits_2_before_the_stage_runs(tmp_path, monkeypatch, capsys, run_200, argv, stage):
-    # ingest once parsed and sessionized the whole log before it found that
-    # it could not write --out.
+@pytest.mark.parametrize("under", ["F", "F/sub"])
+def test_out_under_a_file_exits_2_before_the_stage_runs(
+    tmp_path, monkeypatch, capsys, run_200, argv, stage, under
+):
+    # ingest once parsed and sessionized the whole log, and metrics, routes
+    # and graph computed their stage, before each found that it could not
+    # write there.
     monkeypatch.chdir(run_200.parent)
-    blocker = tmp_path / "F"
-    blocker.write_text("", encoding="utf-8")
+    (tmp_path / "F").write_text("", encoding="utf-8")
+    out = tmp_path / under / "out"
     with mock.patch.object(pipeline, stage, side_effect=AssertionError(stage)):
-        assert main([*argv, "--out", str(blocker / "out.csv")]) == 2
-    assert capsys.readouterr().err.startswith("input error: ")
+        assert main([*argv, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"{tmp_path / 'F'}" in err
+    assert (tmp_path / "F").read_text(encoding="utf-8") == ""
 
 
 def test_graph_single_format(tmp_path):
@@ -143,6 +155,7 @@ def test_graph_single_format(tmp_path):
 
 @pytest.mark.parametrize("line, row", [
     ("a,f,-9", ["a", "f", "-9"]),  # once exit 3: edge weight must be positive
+    ("a,b,7", ["a", "b", "7"]),  # once exit 0, the count of a,b set to 7
     ("a,b,0", ["a", "b", "0"]),
     ("x,y,5", ["x", "y", "5"]),  # once ignored, with exit 0
     ("a,g,1", ["a", "g", "1"]),
@@ -553,6 +566,77 @@ def test_corrupt_metrics_or_classifications_exit_2(tmp_path, capsys, run_200, cm
     assert main(argv) == 2
     assert capsys.readouterr().err == f"input error: bad {key} file {path}: row {bad!r}\n"
     assert not (tmp_path / "c.csv").exists() and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("tail, bad", [
+    # Once printed "communities: 4" with exit 0.
+    ("\n\nnot,a,row\n", []),
+    ("not,a,row\n", ["not", "a", "row"]),
+    ("1,1,0,0,0,0,0,1,f,extra\n2,1,0,0,0,0,0,1,f\n", None),
+    ("2,1,0,0,0,0,0,1,f\n", ["2", "1", "0", "0", "0", "0", "0", "1", "f"]),
+    ("0,1,0,0,0,0,0,1,f\n", ["0", "1", "0", "0", "0", "0", "0", "1", "f"]),
+    ("1,0,0,0,0,0,0,1,f\n", ["1", "0", "0", "0", "0", "0", "0", "1", "f"]),
+    ("1,1,0,0,0,0,-1,2,f\n", ["1", "1", "0", "0", "0", "0", "-1", "2", "f"]),
+    ("1,1,0,0,0,0,0,1.5,f\n", ["1", "1", "0", "0", "0", "0", "0", "1.5", "f"]),
+    ("1,1,0,0,0,0,0,1,g\n", ["1", "1", "0", "0", "0", "0", "0", "1", "g"]),
+    ("1,1,0,0,0,0,0,1\n", ["1", "1", "0", "0", "0", "0", "0", "1"]),
+])
+def test_report_checks_each_community_row(tmp_path, capsys, run_200, tail, bad):
+    out = tmp_path / "out"
+    shutil.copytree(run_200, out)
+    path = out / ARTIFACT_FILES["communities"]
+    assert path.read_text(encoding="utf-8").count("\n") == 2  # the header and community 0
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        fh.write(tail)
+    capsys.readouterr()
+    if bad is None:  # surplus fields are ignored, as every artifact reader does
+        assert main(["report", "--artifacts", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("communities: 3\n")
+        return
+    assert main(["report", "--artifacts", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: bad communities file {path}: row {bad!r}\n"
+
+
+def _sessions_edit(row, col, value):
+    def edit(lines):
+        fields = lines[row].split(",")
+        fields[col] = value
+        lines[row] = ",".join(fields)
+
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines.__setitem__(0, "session_id,user,start_ms,end_ms,k_items"),
+    lambda lines: lines.pop(3),  # ids no longer run 0..n-1
+    lambda lines: lines.__setitem__(5, "4,u1"),
+    _sessions_edit(7, 4, "0"),
+    _sessions_edit(9, 2, str(2**63)),
+    _sessions_edit(11, 3, "x"),
+    _sessions_edit(13, 1, "u\udcff"),  # not UTF-8
+    _sessions_edit(15, 1, "u" * 140_000),  # over csv's field limit
+], ids=["header", "gap", "short", "k", "int64", "end", "utf8", "limit"])
+def test_faulty_sessions_file_is_refused_alike_by_metrics_and_routes(tmp_path, capsys, run_200, edit):
+    # metrics and routes keep different columns of sessions.csv, but check
+    # every field of every row as one reader.
+    lines = (run_200 / ARTIFACT_FILES["sessions"]).read_text(encoding="utf-8").split("\n")
+    edit(lines)
+    path = tmp_path / "sessions.csv"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    out = tmp_path / "out"
+    classifications = str(run_200 / ARTIFACT_FILES["classifications"])
+    errors = []
+    for argv in (
+        ["metrics", "--block-size", "50"],
+        ["routes", "--classifications", classifications, "--block-size", "50", "--grouping", "stream"],
+        ["routes", "--classifications", classifications, "--block-size", "50", "--grouping", "user"],
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--sessions", str(path), "--out-dir", str(out)]) == 2, argv
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith(f"input error: bad sessions file {path}: ")
+    assert errors == errors[:1] * 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grouping", ["stream", "user"])

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from array import array
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -73,6 +74,20 @@ from logcompass.timeutil import format_timestamp_s
 
 
 _TRIPLET = Triplet(Tendency.MID, Tendency.MID, Stability.STABLE)
+# The sessions.csv columns that read_sessions_csv keeps.
+_COLUMNS = ("k_items", "user_hash")
+
+
+def _read_table(path: Path) -> SessionTable:
+    """A sessions.csv file as a SessionTable: user_hash and k_items read by
+    read_sessions_csv, start_ms and end_ms by the row-object oracle."""
+    rows = oracle_read_sessions_csv(path)
+    return SessionTable(
+        read_sessions_csv(path, "user_hash"),
+        array("q", [s.start_ms for s in rows]),
+        array("q", [s.end_ms for s in rows]),
+        read_sessions_csv(path, "k_items"),
+    )
 
 
 @pytest.fixture()
@@ -110,13 +125,13 @@ def test_report_shares_sum_to_hundred(tmp_path, corpus):
 
 def test_report_matches_independent_recount(tmp_path, corpus):
     cfg, report = run(tmp_path, corpus)
-    sessions = read_sessions_csv(cfg.out_dir / ARTIFACT_FILES["sessions"])
+    k_items = read_sessions_csv(cfg.out_dir / ARTIFACT_FILES["sessions"], "k_items")
     classifications = read_classifications_csv(
         cfg.out_dir / ARTIFACT_FILES["classifications"]
     )
     label_of_block = {c.block_index: c.node.label for c in classifications}
     counts = dict.fromkeys("abcdef", 0)
-    for session_id in range(len(sessions)):
+    for session_id in range(len(k_items)):
         label = label_of_block.get(session_id // cfg.block_size)
         if label is not None:
             counts[label] += 1
@@ -169,10 +184,10 @@ def test_stage_isolation_reproduces_run_artifacts(tmp_path, corpus):
     stage_dir = tmp_path / "stages"
     stage_dir.mkdir()
 
-    summaries = read_sessions_csv(cfg.out_dir / ARTIFACT_FILES["sessions"])
-    write_sessions_csv(summaries, stage_dir / ARTIFACT_FILES["sessions"])
+    sessions = _read_table(cfg.out_dir / ARTIFACT_FILES["sessions"])
+    write_sessions_csv(sessions, stage_dir / ARTIFACT_FILES["sessions"])
 
-    metrics = metrics_from_summaries(summaries, cfg.block_size)
+    metrics = metrics_from_summaries(sessions.k_items, cfg.block_size)
     write_metrics_csv(metrics, stage_dir / ARTIFACT_FILES["metrics"])
 
     classifications = classify_series(read_metrics_csv(stage_dir / ARTIFACT_FILES["metrics"]), cfg.classifier)
@@ -180,7 +195,7 @@ def test_stage_isolation_reproduces_run_artifacts(tmp_path, corpus):
 
     routes, _ = routes_from_classifications(
         read_classifications_csv(stage_dir / ARTIFACT_FILES["classifications"]),
-        summaries,
+        sessions.user_hash,
         cfg.block_size,
         cfg.grouping,
     )
@@ -206,8 +221,8 @@ def test_per_user_grouping_produces_user_routes(tmp_path, corpus):
     cfg, report = run(tmp_path, corpus, grouping="user")
     routes = read_routes_csv(cfg.out_dir / ARTIFACT_FILES["routes"])
     assert report["route_count"] == len(routes) > 1
-    sessions = read_sessions_csv(cfg.out_dir / ARTIFACT_FILES["sessions"])
-    assert {r.owner for r in routes} <= set(sessions.user_hash)
+    users = read_sessions_csv(cfg.out_dir / ARTIFACT_FILES["sessions"], "user_hash")
+    assert {r.owner for r in routes} <= set(users)
 
 
 def test_infinite_linkage_puts_every_user_in_one_community(tmp_path, corpus):
@@ -283,18 +298,28 @@ def test_sessions_csv_round_trip(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         "session_id,user_hash,start_ms,end_ms,k_items\n0,u1,0,1000,2\n1,u2,5000,5000,1\n"
     )
-    assert read_sessions_csv(path) == table
+    assert read_sessions_csv(path, "user_hash") == ["u1", "u2"]
+    assert read_sessions_csv(path, "k_items") == [2, 1]
+    assert _read_table(path) == table
 
 
+def test_read_sessions_names_its_column(tmp_path):
+    path = tmp_path / "sessions.csv"
+    write_sessions_csv(SessionTable(["u1"], array("q", [0]), array("q", [0]), [1]), path)
+    with pytest.raises(KeyError, match="start_ms"):
+        read_sessions_csv(path, "start_ms")
+
+
+@pytest.mark.parametrize("column", _COLUMNS)
 @pytest.mark.parametrize("ids", [[0, 2], [1, 0], [1, 2], [0, 0]])
-def test_sessions_csv_rejects_gapped_or_reordered_ids(tmp_path, ids):
+def test_sessions_csv_rejects_gapped_or_reordered_ids(tmp_path, ids, column):
     path = tmp_path / "sessions.csv"
     path.write_text(
         "session_id,user_hash,start_ms,end_ms,k_items\n" + "".join(f"{i},u1,0,0,1\n" for i in ids),
         encoding="utf-8",
     )
     with pytest.raises(InputError, match="ids must run 0..n-1"):
-        read_sessions_csv(path)
+        read_sessions_csv(path, column)
 
 
 def test_parse_log_files_appends_inputs_in_order(tmp_path):
@@ -363,10 +388,7 @@ def test_sessionize_summaries_matches_full_sessionize():
 
 
 def test_metrics_read_the_k_column():
-    table = SessionTable(
-        ["u1", "u2", "u1", "u3", "u2"], array("q", [0, 1, 2, 3, 4]), array("q", [9] * 5), [1, 3, 3, 2, 5]
-    )
-    metrics = metrics_from_summaries(table, 2)
+    metrics = metrics_from_summaries([1, 3, 3, 2, 5], 2)
     assert [(m.block_index, m.q, m.mean_n, m.mean_k, m.k_min, m.k_max) for m in metrics] == [
         (0, 2, 1.0, 2.0, 1, 3), (1, 2, 1.0, 2.5, 2, 3), (2, 1, 1.0, 5.0, 5, 5)
     ]
@@ -388,9 +410,7 @@ def _route_glue_inputs(draw):
     classifications = [
         BlockClassification(b, _TRIPLET, draw(st.sampled_from(ADMISSIBLE_NODES)), 0.0) for b in blocks
     ]
-    n = len(users)
-    table = SessionTable(users, array("q", range(n)), array("q", range(n)), [1] * n)
-    return table, block_size, classifications
+    return users, block_size, classifications
 
 
 def _oracle_routes(users, block_size, classifications, grouping):
@@ -412,14 +432,13 @@ def _oracle_routes(users, block_size, classifications, grouping):
 
 @given(_route_glue_inputs(), st.sampled_from(["stream", "user"]))
 @example(  # u5 is only in block 0, which is not classified
-    (SessionTable(["u5", "u1", "u1", "u2"], array("q", range(4)), array("q", range(4)), [1] * 4), 2,
-     [BlockClassification(1, _TRIPLET, ADMISSIBLE_NODES[2], 0.0)]),
+    (["u5", "u1", "u1", "u2"], 2, [BlockClassification(1, _TRIPLET, ADMISSIBLE_NODES[2], 0.0)]),
     "user",
 )
 def test_routes_from_classifications_matches_oracle(inputs, grouping):
-    table, block_size, classifications = inputs
-    routes, transitions = routes_from_classifications(classifications, table, block_size, grouping)
-    want = _oracle_routes(table.user_hash, block_size, classifications, grouping)
+    users, block_size, classifications = inputs
+    routes, transitions = routes_from_classifications(classifications, users, block_size, grouping)
+    want = _oracle_routes(users, block_size, classifications, grouping)
     assert routes == want
     pairs = Counter(pair for r in want for pair in zip(r.steps, r.steps[1:]))
     assert transitions.counts == dict(pairs)
@@ -442,12 +461,13 @@ def test_read_sessions_interns_users(tmp_path):
         SessionTable(["user-a", "user-b", "user-a"], array("q", [0, 1, 2]), array("q", [0, 1, 2]), [1, 1, 1]),
         path,
     )
-    t = read_sessions_csv(path)
-    assert t.user_hash == ["user-a", "user-b", "user-a"]
-    assert t.user_hash[0] is t.user_hash[2]
+    users = read_sessions_csv(path, "user_hash")
+    assert users == ["user-a", "user-b", "user-a"]
+    assert users[0] is users[2]
 
 
-def test_read_sessions_keeps_few_bytes_per_row(tmp_path):
+@pytest.mark.parametrize("column", _COLUMNS)
+def test_read_sessions_keeps_few_bytes_per_row(tmp_path, column):
     n = 20_000
     path = tmp_path / "sessions.csv"
     write_sessions_csv(
@@ -461,13 +481,14 @@ def test_read_sessions_keeps_few_bytes_per_row(tmp_path):
     )
     tracemalloc.start()
     try:
-        table = read_sessions_csv(path)
+        got = read_sessions_csv(path, column)
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(table) == n
-    # The row-object reader kept about 229 bytes per row here.
-    assert kept / n < 150
+    assert len(got) == n
+    # The row-object reader kept about 229 bytes per row here, and the
+    # four-column table 32: one column holds one 8-byte slot per row.
+    assert kept / n < 12
 
 
 # --- read_sessions_csv against the row-object oracle -------------------------------
@@ -501,12 +522,9 @@ def test_sessions_csv_round_trips_any_table(tmp_path_factory, table, segment):
     path = tmp_path_factory.mktemp("rt") / "sessions.csv"
     write_sessions_csv(table, path)
     with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
-        got = read_sessions_csv(path)
+        got = _read_table(path)
     assert got == table
-    assert table_rows(got) == [
-        (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items)
-        for s in oracle_read_sessions_csv(path)
-    ]
+    assert table_rows(got) == _oracle_rows(path)
 
 
 def _same_bytes_as_oracle(table, directory):
@@ -530,7 +548,7 @@ def test_write_sessions_bytes_for_special_users(tmp_path, user, others):
     n = len(users)
     table = SessionTable(users, array("q", range(n)), array("q", range(1, n + 1)), [1] * n)
     assert _same_bytes_as_oracle(table, tmp_path)
-    assert read_sessions_csv(tmp_path / "got.csv") == table
+    assert _read_table(tmp_path / "got.csv") == table
 
 
 # --- every csv writer against the csv.writer body it replaced ----------------------
@@ -612,6 +630,11 @@ def test_communities_header_must_be_whole(tmp_path):
      ["1", "min", "min", "stable", "z", "0.0"]),
     ("routes", read_routes_csv, "owner,steps,span_start,span_end\nu1,a\n", ["u1", "a"]),
     ("transitions", read_transitions_csv, "from,to,count\na,b,many\n", ["a", "b", "many"]),
+    ("transitions", read_transitions_csv, "from,to,count\na,b,2\nb,a,1\na,b,2\n", ["a", "b", "2"]),
+    ("communities", read_communities_count,
+     "community_id,size,count_a,count_b,count_c,count_d,count_e,count_f,position\n0,1,x\n", ["0", "1", "x"]),
+    ("communities", read_communities_count,
+     "community_id,size,count_a,count_b,count_c,count_d,count_e,count_f,position\n\n", []),
 ])
 def test_unconvertible_row_names_the_row(tmp_path, kind, read, text, row):
     path = tmp_path / f"{kind}.csv"
@@ -621,10 +644,11 @@ def test_unconvertible_row_names_the_row(tmp_path, kind, read, text, row):
     assert str(got.value) == f"bad {kind} file {path}: row {row!r}"
 
 
+@pytest.mark.parametrize("column", _COLUMNS)
 @pytest.mark.parametrize("start, end", [
     (2**63, 2**63), (0, 2**63), (-(2**63) - 1, 0), (-(10**30), 10**30),
 ])
-def test_read_sessions_rejects_times_outside_int64(tmp_path, start, end):
+def test_read_sessions_rejects_times_outside_int64(tmp_path, start, end, column):
     path = tmp_path / "sessions.csv"
     path.write_text(
         f"session_id,user_hash,start_ms,end_ms,k_items\n0,u1,0,0,1\n1,u1,{start},{end},1\n",
@@ -636,7 +660,7 @@ def test_read_sessions_rejects_times_outside_int64(tmp_path, start, end):
     with pytest.raises(InputError, match=re.escape(
         f"bad sessions file {path}: start_ms or end_ms outside the signed 64-bit range in row {row!r}"
     )):
-        read_sessions_csv(path)
+        read_sessions_csv(path, column)
 
 
 def test_read_sessions_accepts_the_int64_bounds(tmp_path):
@@ -645,8 +669,8 @@ def test_read_sessions_accepts_the_int64_bounds(tmp_path):
         f"session_id,user_hash,start_ms,end_ms,k_items\n0,u1,{-(2**63)},{2**63 - 1},1\n",
         encoding="utf-8",
     )
-    table = read_sessions_csv(path)
-    assert (table.start_ms[0], table.end_ms[0]) == (-(2**63), 2**63 - 1)
+    assert read_sessions_csv(path, "user_hash") == ["u1"]
+    assert read_sessions_csv(path, "k_items") == [1]
 
 
 _FAULTS = st.one_of(
@@ -678,7 +702,8 @@ def _corrupt(row: list[str], fault) -> list[str]:
     st.sampled_from([1, 2, 3, pipeline._CHUNK_ROWS]),
     _SEGMENTS,
 )
-def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, faults, chunk, segment):
+@pytest.mark.parametrize("column", _COLUMNS)
+def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, column, rows, faults, chunk, segment):
     lines = [["session_id", "user_hash", "start_ms", "end_ms", "k_items"]]
     lines += [[str(i), u, str(t), str(t + 1), str(k)] for i, (u, t, k) in enumerate(rows)]
     for at, fault in faults:
@@ -687,32 +712,24 @@ def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, rows, f
     path = tmp_path_factory.mktemp("bad") / "sessions.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(lines)
-    with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk), \
-            mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
-        try:
-            want = oracle_read_sessions_csv(path)
-        except InputError as exc:
-            with pytest.raises(InputError) as got:
-                read_sessions_csv(path)
-            assert str(got.value) == str(exc)
-        else:
-            assert table_rows(read_sessions_csv(path)) == [
-                (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items) for s in want
-            ]
+    with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk):
+        _agrees_with_oracle(path, column, segment)
 
 
-def test_first_faulty_row_wins(tmp_path):
+@pytest.mark.parametrize("column", _COLUMNS)
+def test_first_faulty_row_wins(tmp_path, column):
     path = tmp_path / "sessions.csv"
     path.write_text(
         "session_id,user_hash,start_ms,end_ms,k_items\n0,u1,0,0,1\n1,u1,0,0,0\n5,u1,0,0,1\n2,u1,x,0,1\n",
         encoding="utf-8",
     )
     with pytest.raises(InputError, match=r"k_items < 1 in row \['1', 'u1', '0', '0', '0'\]"):
-        read_sessions_csv(path)
+        read_sessions_csv(path, column)
 
 
+@pytest.mark.parametrize("column", _COLUMNS)
 @pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_first_faulty_row_wins_across_chunks(tmp_path, chunk):
+def test_first_faulty_row_wins_across_chunks(tmp_path, chunk, column):
     path = tmp_path / "sessions.csv"
     path.write_text(
         "session_id,user_hash,start_ms,end_ms,k_items\n"
@@ -722,7 +739,7 @@ def test_first_faulty_row_wins_across_chunks(tmp_path, chunk):
     row = ["1", "u1", str(2**63), "0", "1"]
     with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk):
         with pytest.raises(InputError, match=re.escape(f"64-bit range in row {row!r}")):
-            read_sessions_csv(path)
+            read_sessions_csv(path, column)
 
 
 # --- read_sessions_csv's split segments and its csv fallback -----------------------
@@ -742,22 +759,24 @@ def _oracle_rows(path):
             for s in oracle_read_sessions_csv(path)]
 
 
-def _agrees_with_oracle(path, segment=pipeline._SEGMENT_CHARS):
-    """read_sessions_csv yields the oracle's rows or raises its message."""
+def _agrees_with_oracle(path, column, segment=pipeline._SEGMENT_CHARS):
+    """read_sessions_csv yields the column of the oracle's rows or raises
+    its message."""
     with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
         try:
-            want = _oracle_rows(path)
+            want = [getattr(s, column) for s in oracle_read_sessions_csv(path)]
         except InputError as exc:
             with pytest.raises(InputError) as got:
-                read_sessions_csv(path)
+                read_sessions_csv(path, column)
             assert str(got.value) == str(exc)
         else:
-            assert table_rows(read_sessions_csv(path)) == want
+            assert read_sessions_csv(path, column) == want
 
 
+@pytest.mark.parametrize("column", _COLUMNS)
 @pytest.mark.parametrize("segment", [16, 64, pipeline._SEGMENT_CHARS])
 @pytest.mark.parametrize("user", ["a,b", 'q"t', "c\rr", "n\nl"])
-def test_quoted_user_after_clean_segments(tmp_path, segment, user):
+def test_quoted_user_after_clean_segments(tmp_path, segment, user, column):
     # Several segments split without csv, then a user that csv must unquote.
     head, tail = _plain_table(600), _plain_table(50, first_user=3)
     table = SessionTable(
@@ -769,13 +788,14 @@ def test_quoted_user_after_clean_segments(tmp_path, segment, user):
     path = tmp_path / "sessions.csv"
     write_sessions_csv(table, path)
     with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
-        assert read_sessions_csv(path) == table
-    _agrees_with_oracle(path, segment)
+        assert read_sessions_csv(path, column) == getattr(table, column)
+    _agrees_with_oracle(path, column, segment)
 
 
 _HEADER = "session_id,user_hash,start_ms,end_ms,k_items"
 
 
+@pytest.mark.parametrize("column", _COLUMNS)
 @pytest.mark.parametrize("segment", [16, 64, pipeline._SEGMENT_CHARS])
 @pytest.mark.parametrize("text", [
     # an unterminated last line
@@ -805,14 +825,15 @@ _HEADER = "session_id,user_hash,start_ms,end_ms,k_items"
     # text that int() reads around whitespace, and a NUL, which csv keeps
     f"{_HEADER}\n 0,u,5,5,1 \n1,u\x00v,5,5,2\n",
 ])
-def test_read_sessions_line_endings_and_shapes_match_oracle(tmp_path, segment, text):
+def test_read_sessions_line_endings_and_shapes_match_oracle(tmp_path, segment, text, column):
     path = tmp_path / "sessions.csv"
     path.write_bytes(text.encode("utf-8"))
-    _agrees_with_oracle(path, segment)
+    _agrees_with_oracle(path, column, segment)
 
 
+@pytest.mark.parametrize("column", _COLUMNS)
 @pytest.mark.parametrize("segment", [16, 64, pipeline._SEGMENT_CHARS])
-def test_field_over_a_lowered_csv_limit(tmp_path, segment):
+def test_field_over_a_lowered_csv_limit(tmp_path, segment, column):
     table = _plain_table(400)
     users = list(table.user_hash)
     users[300] = "w" * 60
@@ -823,18 +844,19 @@ def test_field_over_a_lowered_csv_limit(tmp_path, segment):
         csv.field_size_limit(50)
         with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
             with pytest.raises(InputError) as got:
-                read_sessions_csv(path)
+                read_sessions_csv(path, column)
         assert str(got.value) == f"bad sessions file {path}: field larger than field limit (50)"
         # Fields under the limit read back, though the segments are longer.
         write_sessions_csv(table, path)
         with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
-            assert read_sessions_csv(path) == table
+            assert read_sessions_csv(path, column) == getattr(table, column)
     finally:
         csv.field_size_limit(limit)
     assert csv.field_size_limit() == limit
 
 
-def test_faulty_row_before_an_over_limit_field_is_named(tmp_path):
+@pytest.mark.parametrize("column", _COLUMNS)
+def test_faulty_row_before_an_over_limit_field_is_named(tmp_path, column):
     # Row 100 fails the k_items check, and row 200 holds a field over csv's
     # default limit of 131,072 characters; both fall in one csv chunk.
     lines = [_HEADER]
@@ -843,9 +865,9 @@ def test_faulty_row_before_an_over_limit_field_is_named(tmp_path):
         lines.append(f"{i},{user},{i},{i},{0 if i == 100 else 1}")
     path = tmp_path / "sessions.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _agrees_with_oracle(path)
+    _agrees_with_oracle(path, column)
     with pytest.raises(InputError, match=r"k_items < 1 in row \['100', "):
-        read_sessions_csv(path)
+        read_sessions_csv(path, column)
 
 
 @pytest.mark.parametrize("n, segment, terminated", [
@@ -860,29 +882,31 @@ def test_plain_file_never_reaches_csv_reader(tmp_path, n, segment, terminated):
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
     with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader")), \
             mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
-        assert read_sessions_csv(path) == table
+        for column in _COLUMNS:
+            assert read_sessions_csv(path, column) == getattr(table, column)
 
 
-def test_read_sessions_columns_are_exact_size(tmp_path):
-    # Columns filled in place hold one slot per LF: one per row, and one
+@pytest.mark.parametrize("column", _COLUMNS)
+def test_read_sessions_columns_are_exact_size(tmp_path, column):
+    # A column filled in place holds one slot per LF: one per row, and one
     # spare when the last line has its LF.
     n = 5000
     table = _plain_table(n)
     path = tmp_path / "sessions.csv"
     write_sessions_csv(table, path)
     for slots in (n + 1, n):
-        got = read_sessions_csv(path)
-        assert got == table
-        assert sys.getsizeof(got.user_hash) == sys.getsizeof(got.k_items) == sys.getsizeof([None] * slots)
-        assert sys.getsizeof(got.start_ms) == sys.getsizeof(got.end_ms) == sys.getsizeof(
-            array("q", (0,)) * slots)
+        got = read_sessions_csv(path, column)
+        assert got == getattr(table, column)
+        assert sys.getsizeof(got) == sys.getsizeof([None] * slots)
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
 
 
 # --- artifacts that are not UTF-8 ------------------------------------------------
 
+_SESSIONS_NOT_UTF8 = "session_id,user_hash,start_ms,end_ms,k_items\n0,u\xff,0,0,1\n"
 _ARTIFACT_READERS = {
-    "sessions": (read_sessions_csv, "session_id,user_hash,start_ms,end_ms,k_items\n0,u\xff,0,0,1\n"),
+    "sessions[k_items]": (partial(read_sessions_csv, column="k_items"), _SESSIONS_NOT_UTF8),
+    "sessions[user_hash]": (partial(read_sessions_csv, column="user_hash"), _SESSIONS_NOT_UTF8),
     "metrics": (read_metrics_csv, "block_index,q,mean_n,mean_k,n_min,n_max,k_min,k_max,alpha,beta,variety\n\xff\n"),
     "classifications": (read_classifications_csv, "block_index,n_tendency,k_tendency,stability,label,mismatch_cost\n\xff\n"),
     "routes": (read_routes_csv, "owner,steps,span_start,span_end\nu\xff,a,1,1\n"),
@@ -892,9 +916,10 @@ _ARTIFACT_READERS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_ARTIFACT_READERS))
-def test_non_utf8_artifact_is_input_error(tmp_path, kind):
-    read, text = _ARTIFACT_READERS[kind]
+@pytest.mark.parametrize("reader", sorted(_ARTIFACT_READERS))
+def test_non_utf8_artifact_is_input_error(tmp_path, reader):
+    read, text = _ARTIFACT_READERS[reader]
+    kind = reader.split("[")[0]
     path = tmp_path / f"{kind}.csv"
     path.write_bytes(text.encode("latin-1"))
     with pytest.raises(InputError, match=f"bad {kind} file .*{kind}.csv: not UTF-8 text"):
@@ -905,19 +930,22 @@ def test_non_utf8_artifact_is_input_error(tmp_path, kind):
 
 _TIMED_READ = """
 import hashlib, json, resource, sys, time
-from helpers import oracle_read_sessions_csv, table_rows
+from helpers import oracle_read_sessions_csv
 from logcompass.pipeline import read_sessions_csv
 which, path = sys.argv[1:]
 t0 = time.perf_counter()
-got = (read_sessions_csv if which == "table" else oracle_read_sessions_csv)(path)
+if which == "columns":
+    # the two reads of a replay: metrics' and routes'
+    ks, users = read_sessions_csv(path, "k_items"), read_sessions_csv(path, "user_hash")
+else:
+    got = oracle_read_sessions_csv(path)
+    ks, users = [s.k_items for s in got], [s.user_hash for s in got]
 seconds = time.perf_counter() - t0
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-rows = table_rows(got) if which == "table" else (
-    (s.session_id, s.user_hash, s.start_ms, s.end_ms, s.k_items) for s in got)
 digest = hashlib.sha256()
-for row in rows:
+for row in zip(users, ks):
     digest.update(repr(row).encode())
-print(json.dumps({"s": seconds, "peak_mb": peak_mb, "rows": len(got), "sha256": digest.hexdigest()}))
+print(json.dumps({"s": seconds, "peak_mb": peak_mb, "rows": len(ks), "sha256": digest.hexdigest()}))
 """
 
 
@@ -943,14 +971,14 @@ def test_scale_reader_matches_oracle(tmp_path):
         [str(Path(__file__).parent), str(Path(__file__).parents[1] / "src")]
     )
     out = {}
-    for which in ("table", "oracle"):
+    for which in ("columns", "oracle"):
         proc = subprocess.run(
             [sys.executable, "-c", _TIMED_READ, which, str(path)],
             env=env, capture_output=True, text=True, check=True,
         )
         out[which] = json.loads(proc.stdout)
-    assert out["table"]["rows"] == out["oracle"]["rows"] == 1_000_000
-    assert out["table"]["sha256"] == out["oracle"]["sha256"]
+    assert out["columns"]["rows"] == out["oracle"]["rows"] == 1_000_000
+    assert out["columns"]["sha256"] == out["oracle"]["sha256"]
     print(
         "SCALE READ PASS: 1,000,000 rows; "
         + "; ".join(f"{k} {v['s']:.2f}s peak {v['peak_mb']:.0f} MB" for k, v in out.items())

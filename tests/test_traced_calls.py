@@ -60,6 +60,11 @@ def test_stage_commands_record_every_traced_layer(job, tmp_path, capsys):
     assert not hasattr(pipeline.read_sessions_csv, "__wrapped__")
     assert {layer for layer, _ in job.TRACED_CALLS.values()} == set(LAYER_CALLS)
     assert Counter(span["name"] for span in tr.spans) == LAYER_CALLS
+    # metrics and routes each read one column of sessions.csv, as long as
+    # the file has sessions.
+    sessions_out = [s["counts"]["sessions_out"] for s in tr.spans if s["name"] == "pipeline.sessionize"]
+    rows = [s["counts"]["rows"] for s in tr.spans if s["name"] == "pipeline.read_sessions"]
+    assert rows == sessions_out * 2 == [80, 80]
 
 
 def test_run_reads_no_artifact_back(job, tmp_path, capsys):
