@@ -168,7 +168,8 @@ def _in_dir(out_dir: Path) -> pipeline.PathOf:
 
 def _to_file(out: str) -> pipeline.PathOf:
     """path(key) for a stage function that writes the one file out; its
-    directory is made now, so that a bad --out fails before the stage runs."""
+    directory is checked as _in_dir checks it and made now, before the stage."""
+    _in_dir(Path(out).parent)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     return lambda key: Path(out)
 

@@ -187,9 +187,9 @@ def sessionize_summaries(
     return SessionTable(users, starts, ends, ks)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """The settings of every stage, validated once.
+    """The settings of every stage, validated once when built.
 
     inputs and out_dir are read by run_pipeline and by the stage commands
     whose flags name them; a stage that reads saved artifacts needs neither.
@@ -609,12 +609,14 @@ def write_communities_csv(
 def read_communities_count(path: Path) -> int:
     """The number of rows of a communities file. A row is an InputError
     unless its id is its row number from 0, its size and label counts are
-    integers of at least 1 and 0, and its position is a label."""
+    integers of at least 1 and 0, its counts add up to at least its size
+    (a route has a step) and its position is dominant_label of its counts."""
     m = 0
     with _reading(path, "communities", _COMMUNITY_COLS) as rows:
         for m, row in enumerate(rows, 1):
             size, *counts = map(int, row[1:8])
-            if int(row[0]) != m - 1 or size < 1 or min(counts) < 0 or row[8] not in NODE_BY_LABEL:
+            position = dominant_label(dict(zip(NODES, counts)))
+            if int(row[0]) != m - 1 or min(counts) < 0 or not 1 <= size <= sum(counts) or row[8] != position:
                 raise _row_error(path, "communities", row)
     return m
 
@@ -648,19 +650,20 @@ def routes_from_classifications(
         if not 0 <= c.block_index < math.ceil(len(users) / block_size):
             raise InputError(f"classifications name block {c.block_index}, which the sessions lack")
     classified = [(c.block_index, c.node.label) for c in classifications]
-    if grouping == "user":
-        block_users = {b: set(users[b * block_size : (b + 1) * block_size]) for b, _ in classified}
-        routes = extract_routes(classified, "user", block_users)
-    else:
-        routes = extract_routes(classified, "stream")
+    block_users = None if grouping == "stream" else {
+        b: users[b * block_size : (b + 1) * block_size] for b, _ in classified
+    }
+    routes = extract_routes(classified, grouping, block_users)
     return routes, build_transition_graph(routes)
 
 
-def _type_tally(
-    metrics: Sequence[BlockMetrics], classifications: Sequence[BlockClassification]
-) -> tuple[dict[str, dict], int, str | None]:
-    """Sessions per compass type: ({label: {"sessions", "share_pct"}}, the
-    number of classified sessions, the dominant label or None)."""
+def _summary(
+    metrics: Sequence[BlockMetrics],
+    classifications: Sequence[BlockClassification],
+    route_count: int,
+    community_count: int,
+) -> dict:
+    """The counts of run's report that report recomputes; sessions are the blocks' q summed."""
     q_of = {m.block_index: m.q for m in metrics}
     per_label = dict.fromkeys(NODES, 0)
     for c in classifications:
@@ -669,12 +672,18 @@ def _type_tally(
             raise InputError(f"classifications name block {c.block_index}, which the metrics lack")
         per_label[c.node.label] += q
     classified = sum(per_label.values())
-    types = {
-        label: {"sessions": n, "share_pct": (100.0 * n / classified) if classified else 0.0}
-        for label, n in per_label.items()
+    total = sum(q_of.values())
+    return {
+        "sessions": {"total": total, "classified": classified, "unclassified": total - classified},
+        "blocks": {"total": len(metrics), "classified": len(classifications)},
+        "types": {
+            label: {"sessions": n, "share_pct": (100.0 * n / classified) if classified else 0.0}
+            for label, n in per_label.items()
+        },
+        "dominant_type": dominant_label(per_label) if classified else None,
+        "route_count": route_count,
+        "community_count": community_count,
     }
-    dominant = dominant_label(per_label) if classified else None
-    return types, classified, dominant
 
 
 def build_report(
@@ -682,31 +691,16 @@ def build_report(
     parsed: int,
     kept: int,
     malformed: int,
-    summaries_total: int,
     metrics: Sequence[BlockMetrics],
     classifications: Sequence[BlockClassification],
     block_size: int,
     route_count: int,
     community_count: int,
 ) -> dict:
-    types, classified_sessions, dominant = _type_tally(metrics, classifications)
-    return {
-        "events": {"parsed": parsed, "kept": kept, "malformed": malformed},
-        "sessions": {
-            "total": summaries_total,
-            "classified": classified_sessions,
-            "unclassified": summaries_total - classified_sessions,
-        },
-        "blocks": {
-            "total": len(metrics),
-            "classified": len(classifications),
-            "block_size": block_size,
-        },
-        "types": types,
-        "dominant_type": dominant,
-        "route_count": route_count,
-        "community_count": community_count,
-    }
+    report = _summary(metrics, classifications, route_count, community_count)
+    report["events"] = {"parsed": parsed, "kept": kept, "malformed": malformed}
+    report["blocks"]["block_size"] = block_size
+    return report
 
 
 # One function per stage, shared by run_pipeline and the stage commands: each
@@ -810,7 +804,6 @@ def run_pipeline(cfg: PipelineConfig, diagnostics: IO[str] | None = None) -> dic
             parsed=parsed,
             kept=kept,
             malformed=malformed,
-            summaries_total=len(sessions),
             metrics=metrics,
             classifications=classifications,
             block_size=cfg.block_size,
@@ -824,8 +817,6 @@ def run_pipeline(cfg: PipelineConfig, diagnostics: IO[str] | None = None) -> dic
     except BaseException as exc:
         for p in written:
             p.unlink(missing_ok=True)
-        if isinstance(exc, ConfigError):
-            raise ConfigError(f"{stage}: {exc}") from exc
         if isinstance(exc, InputError):
             raise InputError(f"{stage}: {exc}") from exc
         raise
@@ -837,23 +828,17 @@ def report_stats(artifacts_dir: Path | str) -> str:
     for key in ("metrics", "classifications", "routes", "communities"):
         if not path[key].exists():
             raise InputError(f"missing: {key}")
-    metrics = read_metrics_csv(path["metrics"])
-    classifications = read_classifications_csv(path["classifications"])
-    route_count = len(read_routes_csv(path["routes"]))
-    community_count = read_communities_count(path["communities"])
-    types, classified, dominant = _type_tally(metrics, classifications)
-    return stats_text({
-        "blocks": {"total": len(metrics), "classified": len(classifications)},
-        "sessions": {"total": sum(m.q for m in metrics), "classified": classified},
-        "types": types,
-        "dominant_type": dominant,
-        "route_count": route_count,
-        "community_count": community_count,
-    })
+    # Not through a traced global: a traced report records one span.
+    return stats_text(_summary(
+        read_metrics_csv(path["metrics"]),
+        read_classifications_csv(path["classifications"]),
+        len(read_routes_csv(path["routes"])),
+        read_communities_count(path["communities"]),
+    ))
 
 
 def stats_text(report: dict) -> str:
-    """The human-readable summary of a report as build_report returns it."""
+    """The human-readable summary of a report as _summary or build_report returns it."""
     blocks, sessions = report["blocks"], report["sessions"]
     lines = [
         f"blocks: {blocks['total']} total, {blocks['classified']} classified",

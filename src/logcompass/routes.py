@@ -51,7 +51,7 @@ class SearchRoute:
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """counts[(x, y)] = consecutive x→y steps summed over all routes."""
+    """counts[(x, y)] = consecutive x→y steps summed over all routes (unsorted)."""
 
     counts: dict[tuple[str, str], int]
 
@@ -79,25 +79,22 @@ def extract_routes(
 ) -> list[SearchRoute]:
     """Turn per-block classifications into routes.
 
-    Stream grouping yields one route over all classified blocks. User
-    grouping yields one route per user from the types of the classified
+    User grouping yields one route per user from the types of the classified
     blocks that user appears in (needs block_users: block_index -> users,
     of which only the classified blocks are read; a user contributes each
-    block once).
+    block once). Stream grouping is the case of one owner, STREAM_OWNER, in
+    every classified block: one route over all of them.
     """
     if grouping not in GROUPINGS:
         raise ConfigError(f"unknown grouping {grouping!r} (expected one of {GROUPINGS})")
     for (b1, _), (b2, _) in zip(classified, classified[1:]):
         if b2 <= b1:
             raise ValueError("classifications must be ordered by block_index")
-    if not classified:
-        return []
-    if grouping == "stream":
-        steps = tuple(label for _, label in classified)
-        return [SearchRoute(STREAM_OWNER, steps, (classified[0][0], classified[-1][0]))]
-    if block_users is None:
-        raise ValueError("per-user grouping needs block_users")
     label_of = dict(classified)
+    if grouping == "stream":
+        block_users = dict.fromkeys(label_of, (STREAM_OWNER,))
+    elif block_users is None:
+        raise ValueError("per-user grouping needs block_users")
     blocks_of: dict[str, list[int]] = {}
     for block_index in label_of:
         for user in set(block_users.get(block_index, ())):
@@ -280,22 +277,18 @@ def build_transition_graph(routes: Sequence[SearchRoute]) -> TransitionGraph:
     for r in routes:
         for x, y in zip(r.steps, r.steps[1:]):
             counts[(x, y)] = counts.get((x, y), 0) + 1
-    return TransitionGraph(dict(sorted(counts.items())))
+    return TransitionGraph(counts)
 
 
-def transition_edge_weights(
-    tg: TransitionGraph, base_weight: float = 1.0
-) -> dict[tuple[str, str], float]:
-    """Compass edge weights from transition counts (both directions summed).
+def transition_edge_weights(tg: TransitionGraph) -> dict[tuple[str, str], float]:
+    """Compass edge weights: 1 plus the transition counts of both directions.
 
     Transitions between non-adjacent labels do not correspond to an edge
-    and are ignored; base_weight keeps unobserved edges positive.
+    and are ignored; the 1 keeps unobserved edges positive.
     """
-    if not base_weight > 0:
-        raise ValueError("base_weight must be positive")
     g = build_base_graph()
     return {
-        (u, v): base_weight + tg.counts.get((u, v), 0) + tg.counts.get((v, u), 0)
+        (u, v): 1.0 + tg.counts.get((u, v), 0) + tg.counts.get((v, u), 0)
         for (u, v) in sorted(g.weights)
     }
 

@@ -135,14 +135,16 @@ def test_out_under_a_file_exits_2_before_the_stage_runs(
 ):
     # ingest once parsed and sessionized the whole log, and metrics, routes
     # and graph computed their stage, before each found that it could not
-    # write there.
+    # write there. ingest, classify and communities then printed
+    # "[Errno 17] File exists" for the directory of their --out file.
     monkeypatch.chdir(run_200.parent)
     (tmp_path / "F").write_text("", encoding="utf-8")
     out = tmp_path / under / "out"
     with mock.patch.object(pipeline, stage, side_effect=AssertionError(stage)):
         assert main([*argv, str(out)]) == 2
+    directory = out.parent if argv[-1] == "--out" else out
     err = capsys.readouterr().err
-    assert err.startswith("input error: ") and f"{tmp_path / 'F'}" in err
+    assert err == f"input error: cannot make directory {directory}: a file is in the way\n"
     assert (tmp_path / "F").read_text(encoding="utf-8") == ""
 
 
@@ -579,6 +581,10 @@ def test_corrupt_metrics_or_classifications_exit_2(tmp_path, capsys, run_200, cm
     ("1,1,0,0,0,0,-1,2,f\n", ["1", "1", "0", "0", "0", "0", "-1", "2", "f"]),
     ("1,1,0,0,0,0,0,1.5,f\n", ["1", "1", "0", "0", "0", "0", "0", "1.5", "f"]),
     ("1,1,0,0,0,0,0,1,g\n", ["1", "1", "0", "0", "0", "0", "0", "1", "g"]),
+    # Both once counted: a position that is not the dominant label of the
+    # counts, and counts adding up to less than the size.
+    ("1,1,5,0,0,0,0,0,f\n", ["1", "1", "5", "0", "0", "0", "0", "0", "f"]),
+    ("1,3,0,0,0,0,0,0,a\n", ["1", "3", "0", "0", "0", "0", "0", "0", "a"]),
     ("1,1,0,0,0,0,0,1\n", ["1", "1", "0", "0", "0", "0", "0", "1"]),
 ])
 def test_report_checks_each_community_row(tmp_path, capsys, run_200, tail, bad):

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from array import array
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -34,7 +35,7 @@ from helpers import (
 )
 from logcompass import pipeline
 from logcompass.blocks import BlockMetrics
-from logcompass.errors import InputError
+from logcompass.errors import ConfigError, InputError
 from logcompass.events import COUNT_POLICIES, EventGroups, FilterRules, LogEvent
 from logcompass.pipeline import (
     ARTIFACT_FILES,
@@ -137,6 +138,27 @@ def test_report_matches_independent_recount(tmp_path, corpus):
             counts[label] += 1
     for label in "abcdef":
         assert report["types"][label]["sessions"] == counts[label]
+
+
+@pytest.mark.parametrize("setting, message", [
+    # The CLI's choices keep these values from its flags.
+    ({"log_format": "c"}, "unknown log format 'c'"),
+    ({"count_policy": "weird"}, "unknown count policy 'weird'"),
+    ({"grouping": "query"}, "unknown grouping 'query'"),
+    ({"export_formats": ("dot", "svg")}, "unknown graph format 'svg'"),
+])
+def test_config_refuses_unknown_names(setting, message):
+    with pytest.raises(ConfigError) as got:
+        PipelineConfig(**setting)
+    assert str(got.value) == message
+
+
+def test_config_is_frozen():
+    # Validated once when built, a config cannot be changed into one that a
+    # stage refuses mid-run.
+    cfg = PipelineConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.grouping = "query"
 
 
 def test_empty_input_leaves_no_artifacts(tmp_path):

@@ -348,8 +348,6 @@ def test_transition_edge_weights():
     # non-adjacent transitions never become edges
     tg2 = build_transition_graph([route("ad")])
     assert all(w == 1.0 for w in transition_edge_weights(tg2).values())
-    with pytest.raises(ValueError):
-        transition_edge_weights(tg, base_weight=0.0)
 
 
 def _community(counts, members=("u1",)):

@@ -78,8 +78,11 @@ def test_run_reads_no_artifact_back(job, tmp_path, capsys):
     with job.traced_calls(tr):
         assert main(["run", "--input", str(log), "--block-size", "20",
                      "--out", str(tmp_path / "out")]) == 0
-    names = {span["name"] for span in tr.spans}
+    names = [span["name"] for span in tr.spans]
     assert "pipeline.write_sessions" in names
+    # build_report's one span: the summary it shares with report_stats is
+    # not a traced global.
+    assert names.count("pipeline.report") == 1
     assert not {name for name in names if name.startswith("pipeline.read_")}
     assert "blocks: 4 total, 3 classified" in capsys.readouterr().out
 
