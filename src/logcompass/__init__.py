@@ -39,14 +39,11 @@ from .hierarchy import (
 )
 from .routes import (
     CognitiveCommunity,
-    CommunityPosition,
     SearchRoute,
     TransitionGraph,
     build_transition_graph,
-    compass_hops,
     detect_communities,
     extract_routes,
-    position_community,
     route_distance,
     transition_edge_weights,
 )

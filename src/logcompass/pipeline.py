@@ -650,9 +650,9 @@ def routes_from_classifications(
         if not 0 <= c.block_index < math.ceil(len(users) / block_size):
             raise InputError(f"classifications name block {c.block_index}, which the sessions lack")
     classified = [(c.block_index, c.node.label) for c in classifications]
-    block_users = None if grouping == "stream" else {
-        b: users[b * block_size : (b + 1) * block_size] for b, _ in classified
-    }
+    block_users = None if grouping == "stream" else (
+        users[b * block_size : (b + 1) * block_size] for b, _ in classified
+    )
     routes = extract_routes(classified, grouping, block_users)
     return routes, build_transition_graph(routes)
 

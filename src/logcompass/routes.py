@@ -9,11 +9,10 @@ into communities by single linkage under that distance.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .compass import NODES, build_base_graph, neighbors, shortest_distance
+from .compass import NODES, build_base_graph, shortest_distance
 from .errors import ConfigError
 
 GROUPINGS = ("stream", "user")
@@ -26,14 +25,6 @@ INDEL_COST = 2.0
 _CODE = {label: i for i, label in enumerate(NODES)}
 _BASE = build_base_graph()
 _HOP_ROWS = tuple(tuple(int(shortest_distance(_BASE, x, y)) for y in NODES) for x in NODES)
-
-
-def compass_hops(x: str, y: str) -> int:
-    """Hop distance between two node labels on the compass cycle (0..3)."""
-    try:
-        return _HOP_ROWS[_CODE[x]][_CODE[y]]
-    except KeyError:
-        raise ValueError(f"unknown node label in {(x, y)!r}") from None
 
 
 def _check_labels(step_seqs: Iterable[Sequence[str]]) -> None:
@@ -65,40 +56,35 @@ class CognitiveCommunity:
     size: int
 
 
-@dataclass(frozen=True)
-class CommunityPosition:
-    label: str
-    neighbors: tuple[str, ...]
-    distances: dict[str, int]
-
-
 def extract_routes(
     classified: Sequence[tuple[int, str]],
     grouping: str = "stream",
-    block_users: Mapping[int, Iterable[str]] | None = None,
+    block_users: Iterable[Iterable[str]] | None = None,
 ) -> list[SearchRoute]:
     """Turn per-block classifications into routes.
 
     User grouping yields one route per user from the types of the classified
-    blocks that user appears in (needs block_users: block_index -> users,
-    of which only the classified blocks are read; a user contributes each
-    block once). Stream grouping is the case of one owner, STREAM_OWNER, in
-    every classified block: one route over all of them.
+    blocks that user appears in. It needs block_users: one collection of
+    users per classified block, in the order of classified, read once and
+    one block at a time (a generator will do); a different number of
+    collections than blocks is a ValueError. A user contributes each block
+    once. Stream grouping is the case of one owner, STREAM_OWNER, in every
+    classified block: one route over all of them.
     """
     if grouping not in GROUPINGS:
         raise ConfigError(f"unknown grouping {grouping!r} (expected one of {GROUPINGS})")
     for (b1, _), (b2, _) in zip(classified, classified[1:]):
         if b2 <= b1:
             raise ValueError("classifications must be ordered by block_index")
-    label_of = dict(classified)
     if grouping == "stream":
-        block_users = dict.fromkeys(label_of, (STREAM_OWNER,))
+        block_users = [(STREAM_OWNER,)] * len(classified)
     elif block_users is None:
         raise ValueError("per-user grouping needs block_users")
     blocks_of: dict[str, list[int]] = {}
-    for block_index in label_of:
-        for user in set(block_users.get(block_index, ())):
+    for (block_index, _), users in zip(classified, block_users, strict=True):
+        for user in set(users):
             blocks_of.setdefault(user, []).append(block_index)
+    label_of = dict(classified)
     return [
         SearchRoute(user, tuple(label_of[b] for b in bs), (bs[0], bs[-1]))
         for user, bs in sorted(blocks_of.items())
@@ -199,15 +185,6 @@ def dominant_label(counts: Mapping[str, int]) -> str:
     return min(counts, key=lambda label: (-counts[label], label))
 
 
-def _community_of(group_members: list[SearchRoute]) -> tuple[tuple[str, ...], dict[str, int], str]:
-    members = tuple(sorted(r.owner for r in group_members))
-    counts = Counter()
-    for r in group_members:
-        counts.update(r.steps)
-    label_counts = {label: counts.get(label, 0) for label in NODES}
-    return members, label_counts, dominant_label(label_counts)
-
-
 def detect_communities(
     routes: Sequence[SearchRoute], linkage_threshold: float
 ) -> list[CognitiveCommunity]:
@@ -215,9 +192,11 @@ def detect_communities(
 
     Output is a partition of the routes, numbered by smallest member key;
     the result does not depend on input order. The linkage is exact: it
-    equals comparing every pair with route_distance. Identical step
-    sequences are merged first (threshold 0 stops there). The distinct
-    sequences are then swept in length order, and a pair is skipped
+    equals comparing every pair with route_distance. Routes are grouped
+    by step sequence first (threshold 0 stops there), and everything after
+    works on the distinct sequences with their owners: a community's label
+    counts are its sequences' label bags times their owner counts. The
+    distinct sequences are swept in length order, and a pair is skipped
     without a DP when twice its length difference, or its label-bag bound
     (the longer route's steps in excess of the shorter's per-label counts,
     plus the length difference), exceeds the threshold. The remaining pairs run a DP
@@ -231,10 +210,12 @@ def detect_communities(
     owners = [r.owner for r in routes]
     if len(set(owners)) != len(owners):
         raise ValueError("route owners must be unique")
-    _check_labels(r.steps for r in routes)
-    ordered = sorted(routes, key=lambda r: r.owner)
-    distinct = sorted(dict.fromkeys(r.steps for r in ordered), key=len)
-    node_of = {steps: i for i, steps in enumerate(distinct)}
+    owners_of: dict[tuple[str, ...], list[str]] = {}
+    for r in routes:
+        owners_of.setdefault(r.steps, []).append(r.owner)
+    _check_labels(owners_of)
+    distinct = sorted(owners_of, key=len)
+    profiles = [_profile(steps) for steps in distinct]
     parent = list(range(len(distinct)))
 
     def find(x: int) -> int:
@@ -244,7 +225,6 @@ def detect_communities(
         return x
 
     if linkage_threshold >= 1:  # distinct step sequences are at least 1 apart
-        profiles = [_profile(steps) for steps in distinct]
         for p, short in enumerate(distinct):
             for q in range(p + 1, len(distinct)):
                 if 2 * (len(distinct[q]) - len(short)) > linkage_threshold:
@@ -253,22 +233,31 @@ def detect_communities(
                 if rp != rq and _within(profiles[p], profiles[q], linkage_threshold):
                     parent[rp] = rq
 
-    groups: dict[int, list[SearchRoute]] = {}
-    for r in ordered:
-        groups.setdefault(find(node_of[r.steps]), []).append(r)
-    communities = []
-    for group in sorted(groups.values(), key=lambda g: g[0].owner):
-        members, label_counts, dominant = _community_of(group)
-        communities.append(
-            CognitiveCommunity(
-                community_id=len(communities),
-                members=members,
-                label_counts=label_counts,
-                dominant=dominant,
-                size=len(members),
-            )
+    groups: dict[int, list[int]] = {}
+    for i in range(len(distinct)):
+        groups.setdefault(find(i), []).append(i)
+    found = []
+    for group in groups.values():
+        members: list[str] = []
+        label_counts = dict.fromkeys(NODES, 0)
+        for i in group:
+            seq_owners = owners_of[distinct[i]]
+            members += seq_owners
+            for label, k in zip(NODES, profiles[i][1]):
+                label_counts[label] += k * len(seq_owners)
+        members.sort()
+        found.append((members, label_counts))
+    found.sort(key=lambda f: f[0][0])
+    return [
+        CognitiveCommunity(
+            community_id=i,
+            members=tuple(members),
+            label_counts=label_counts,
+            dominant=dominant_label(label_counts),
+            size=len(members),
         )
-    return communities
+        for i, (members, label_counts) in enumerate(found)
+    ]
 
 
 def build_transition_graph(routes: Sequence[SearchRoute]) -> TransitionGraph:
@@ -291,15 +280,3 @@ def transition_edge_weights(tg: TransitionGraph) -> dict[tuple[str, str], float]
         (u, v): 1.0 + tg.counts.get((u, v), 0) + tg.counts.get((v, u), 0)
         for (u, v) in sorted(g.weights)
     }
-
-
-def position_community(c: CognitiveCommunity) -> CommunityPosition:
-    """Locate a community at its dominant label; report neighbors and hop distances."""
-    if not c.members:
-        raise ValueError("empty community")
-    g = build_base_graph()
-    return CommunityPosition(
-        label=c.dominant,
-        neighbors=neighbors(g, c.dominant),
-        distances={label: compass_hops(c.dominant, label) for label in NODES},
-    )

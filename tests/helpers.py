@@ -15,7 +15,6 @@ from logcompass.blocks import BlockMetrics
 from logcompass.errors import ConfigError, InputError
 from logcompass import events as events_module
 from logcompass.events import COUNT_POLICIES, DEFAULT_GAP_SECONDS, EventGroups, LogEvent, ParseDiagnostic
-from logcompass.routes import position_community
 from logcompass.synth import generate_sessions
 from logcompass.taxonomy import NODE_BY_LABEL
 from logcompass.timeutil import format_timestamp_s
@@ -280,8 +279,7 @@ def oracle_write_communities_csv(communities, path: Path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["community_id", "size"] + [f"count_{label}" for label in labels] + ["position"])
         for c in communities:
-            pos = position_community(c)
-            w.writerow([c.community_id, c.size] + [c.label_counts[label] for label in labels] + [pos.label])
+            w.writerow([c.community_id, c.size] + [c.label_counts[label] for label in labels] + [c.dominant])
 
 
 # --- the LogEvent sessionizer that sessionize_summaries replaced ------------------

@@ -15,10 +15,8 @@ from logcompass.routes import (
     _profile,
     _within,
     build_transition_graph,
-    compass_hops,
     detect_communities,
     extract_routes,
-    position_community,
     route_distance,
     transition_edge_weights,
 )
@@ -39,12 +37,12 @@ def test_extract_stream_route():
 
 def test_extract_empty():
     assert extract_routes([], "stream") == []
-    assert extract_routes([], "user", {}) == []
+    assert extract_routes([], "user", []) == []
 
 
 def test_extract_per_user_route():
     classified = [(1, "b"), (2, "d"), (3, "c")]
-    block_users = {0: {"u9"}, 1: {"u1", "u2"}, 2: {"u2"}, 3: {"u1"}}
+    block_users = [{"u1", "u2"}, {"u2"}, {"u1"}]
     routes = extract_routes(classified, "user", block_users)
     assert routes == [
         SearchRoute("u1", ("b", "c"), (1, 3)),
@@ -54,13 +52,29 @@ def test_extract_per_user_route():
 
 def test_extract_per_user_deduplicates_within_block():
     classified = [(1, "b")]
-    routes = extract_routes(classified, "user", {1: ["u1", "u1", "u1"]})
+    routes = extract_routes(classified, "user", [["u1", "u1", "u1"]])
     assert routes == [SearchRoute("u1", ("b",), (1, 1))]
 
 
 def test_extract_per_user_requires_block_users():
     with pytest.raises(ValueError):
         extract_routes([(1, "b")], "user")
+
+
+@pytest.mark.parametrize("block_users", [[], [["u1"]], [["u1"], ["u2"], ["u3"]]])
+def test_extract_per_user_rejects_block_count_mismatch(block_users):
+    with pytest.raises(ValueError):
+        extract_routes([(1, "b"), (2, "c")], "user", block_users)
+
+
+def test_extract_per_user_reads_block_users_once():
+    classified = [(1, "b"), (2, "d"), (4, "c")]
+    slices = (users for users in (["u1", "u2"], ["u2"], ["u1", "u2"]))
+    routes = extract_routes(classified, "user", slices)
+    assert routes == [
+        SearchRoute("u1", ("b", "c"), (1, 4)),
+        SearchRoute("u2", ("b", "d", "c"), (1, 4)),
+    ]
 
 
 def test_extract_rejects_unordered_blocks():
@@ -73,15 +87,12 @@ def test_extract_unknown_grouping():
         extract_routes([], "query")
 
 
-def test_compass_hops_table():
-    assert compass_hops("a", "a") == 0
-    assert compass_hops("a", "d") == 3
-    assert compass_hops("c", "d") == 1
+def test_one_step_route_distance_is_the_hop_distance():
+    # Hops are at most 3, below one indel pair (4), so a one-step pair is
+    # always a substitution at the hop distance of its labels.
     cycle = dict.fromkeys(EXPECTED_EDGES, 1.0)
     for x, y in itertools.product("abcdef", repeat=2):
-        assert compass_hops(x, y) == oracle_distance(cycle, x, y, "hops")
-    with pytest.raises(ValueError):
-        compass_hops("a", "z")
+        assert route_distance(route(x), route(y)) == oracle_distance(cycle, x, y, "hops")
 
 
 def test_route_distance_identity():
@@ -350,36 +361,23 @@ def test_transition_edge_weights():
     assert all(w == 1.0 for w in transition_edge_weights(tg2).values())
 
 
-def _community(counts, members=("u1",)):
-    return CognitiveCommunity(
-        community_id=0,
-        members=tuple(members),
-        label_counts={l: counts.get(l, 0) for l in "abcdef"},
-        dominant=min(counts or {"a": 0}, key=lambda l: (-counts.get(l, 0), l)),
-        size=len(members),
-    )
-
-
-def test_position_dominant_c_has_neighbors_d_e():
-    pos = position_community(_community({"c": 5, "b": 1}))
-    assert pos.label == "c"
-    assert pos.neighbors == ("d", "e")
-
-
-def test_position_uniform_frequencies_tie_breaks_to_a():
-    pos = position_community(_community({l: 2 for l in "abcdef"}))
-    assert pos.label == "a"
-
-
-def test_position_distances_from_b():
-    pos = position_community(_community({"b": 3}))
-    assert pos.distances == {"b": 0, "d": 1, "f": 1, "a": 2, "c": 2, "e": 3}
-
-
 def test_detect_signature_counts():
     communities = detect_communities([route("aab", owner="u1"), route("ab", owner="u2")], 10.0)
     assert len(communities) == 1
     c = communities[0]
     assert c.label_counts["a"] == 3
     assert c.label_counts["b"] == 2
+    assert c.dominant == "a"
+    # Several owners share a step sequence: its steps count once per owner.
+    shared = [route("aab", owner="u3"), route("ab", owner="u2"), route("aab", owner="u1"),
+              route("bbd", owner="u4"), route("ab", owner="u5")]
+    zero = detect_communities(shared, 0.0)
+    assert [c.members for c in zero] == [("u1", "u3"), ("u2", "u5"), ("u4",)]
+    assert [c.size for c in zero] == [2, 2, 1]
+    assert [(c.label_counts["a"], c.label_counts["b"], c.label_counts["d"]) for c in zero] == [
+        (4, 2, 0), (2, 2, 0), (0, 2, 1)]
+    (c,) = detect_communities(shared, 10.0)
+    assert c.members == ("u1", "u2", "u3", "u4", "u5")
+    assert c.size == 5
+    assert c.label_counts == {"a": 6, "b": 6, "c": 0, "d": 1, "e": 0, "f": 0}
     assert c.dominant == "a"
