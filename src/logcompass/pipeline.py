@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
 from operator import gt
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .blocks import BlockMetrics, block_means, compute_variety_series, metric_bounds
 from .compass import NODES, build_base_graph
@@ -101,13 +101,17 @@ class SessionTable:
 
 
 def _gap_ms(gap_seconds: float) -> int:
-    """The session gap in whole milliseconds; a gap that is not positive, or
-    not finite in milliseconds, is a ConfigError."""
+    """gap_seconds' shortest decimal text in milliseconds, rounded down (1.001
+    is 1001, 0.0015 is 1), which whole milliseconds exceed exactly when they
+    exceed the text. In integers: importing decimal costs a run about 0.45 MB."""
     if not gap_seconds > 0:
         raise ConfigError("gap_seconds must be positive")
     if not math.isfinite(gap_seconds * 1000):
         raise ConfigError(f"gap_seconds must be finite in milliseconds, got {gap_seconds!r}")
-    return round(gap_seconds * 1000)
+    mantissa, _, exp = repr(float(gap_seconds)).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    shift = int(exp or 0) + 3 - len(frac)
+    return int(whole + frac) * 10 ** max(shift, 0) // 10 ** max(-shift, 0)
 
 
 def sessionize_summaries(
@@ -262,8 +266,7 @@ _CLASSIFICATION_COLS = ["block_index", "n_tendency", "k_tendency", "stability", 
 _ROUTE_COLS = ["owner", "steps", "span_start", "span_end"]
 _TRANSITION_COLS = ["from", "to", "count"]
 _COMMUNITY_COLS = ["community_id", "size", *(f"count_{label}" for label in NODES), "position"]
-# Rows per chunk that read_sessions_csv converts a column at a time and that
-# _write_csv joins into one write.
+# Rows per chunk that _write_csv joins into one write.
 _CHUNK_ROWS = 256
 # Characters that read_sessions_csv reads per segment, before carrying the
 # segment on to the end of its last line.
@@ -378,26 +381,20 @@ def write_sessions_csv(table: SessionTable, path: Path) -> None:
 def read_sessions_csv(path: Path, column: str) -> list[int] | list[str]:
     """The "k_items" or "user_hash" column of a sessions.csv file; every
     field of every row is checked as it is read, and len() is the row count.
+    A file with no sessions is an InputError, since no run writes one.
 
     Under the exact header, the file is read in segments of whole lines that
     events.comma_columns, the format-a reader's splitter, splits without
     csv; from the first segment it cannot split, or that fails a check, csv
-    reads the rest. Both feed one converter, so either way the rows, checks
-    and errors are csv's.
+    reads the rest and _session_field checks it a row at a time, so the
+    rows, checks and errors are csv's either way.
     """
     user_column = {"k_items": False, "user_hash": True}[column]
-    # A column sized for one row per LF: the header's LF pays for a last line
-    # that has none. Only bare CRs can end more rows, and slice assignment
-    # grows the column past its end.
-    with open(path, "rb") as fh:
-        size = sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
-    kept: list = ([""] if user_column else [0]) * size
-    n = 0
+    kept: list = []
 
     def take(cols: Sequence[Sequence[str]]) -> bool:
-        """Fill the next rows from the columns of a run of rows; False, and
-        nothing filled, if any of those rows fails a check."""
-        nonlocal n
+        """Append the kept column of a run of rows; False, and nothing
+        appended, if any of those rows fails a check."""
         # map() over a column converts without a bytecode loop per row.
         try:
             ids = list(map(int, cols[0]))
@@ -406,71 +403,57 @@ def read_sessions_csv(path: Path, column: str) -> list[int] | list[str]:
             # array('q') refuses a time outside the signed 64-bit range; it
             # fills faster from a list than from an iterator.
             array("q", list(map(int, chain(cols[2], cols[3]))))
-        except (IndexError, ValueError, OverflowError):
+        except (ValueError, OverflowError):
             return False
-        end = n + len(ids)
-        if min(k_of.values()) < 1 or ids != list(range(n, end)):
+        n = len(kept)
+        if min(k_of.values()) < 1 or ids != list(range(n, n + len(ids))):
             return False
         # One str object per distinct user, however many sessions name it.
-        kept[n:end] = map(sys.intern, cols[1]) if user_column else map(k_of.__getitem__, cols[4])
-        n = end
+        kept.extend(map(sys.intern, cols[1]) if user_column else map(k_of.__getitem__, cols[4]))
         return True
 
-    field_limit = csv.field_size_limit()
     with _opened(path, "sessions") as fh:
         head = fh.readline()
-        rows = None
+        rows: Iterable[list[str]] = ()
         if head == _SESSIONS_HEADER_LINE:
             # readline() ends each segment where the file's own lines end.
             while seg := fh.read(_SEGMENT_CHARS) + fh.readline():
                 # Without a quote, csv splits where comma_columns does; a segment
                 # within csv's field size limit holds no field over it.
-                cols = None if '"' in seg or len(seg) > field_limit else comma_columns(seg, 5)
+                cols = None if '"' in seg or len(seg) > csv.field_size_limit() else comma_columns(seg, 5)
                 if cols is None or not take(cols):
                     rows = csv.reader(chain(io.StringIO(seg, newline=""), fh))
                     break
         else:
             rows = _csv_rows(chain((head,), fh), path, "sessions", _SESSION_COLS)
-        # A chunk failing any check is scanned again row by row, so that the
-        # error names its first faulty row, as a row-at-a-time reader would;
-        # the rows before a row that csv cannot split are checked first.
-        while rows is not None:
-            chunk: list[list[str]] = []
-            try:
-                chunk.extend(islice(rows, _CHUNK_ROWS))
-            finally:
-                # One tuple per column, as long as the chunk; a short row
-                # leaves fewer columns.
-                if chunk and not take(list(zip(*chunk))):
-                    _raise_first_bad_session_row(path, chunk, n)
-            if not chunk:
-                break
-    del kept[n:]
+        for i, row in enumerate(rows, len(kept)):
+            kept.append(_session_field(path, row, i, user_column))
+    if not kept:
+        raise InputError(f"bad sessions file {path}: no sessions")
     return kept
 
 
-def _raise_first_bad_session_row(path: Path, rows: list[list[str]], first: int) -> NoReturn:
-    """Raise the InputError of the first faulty row among rows, which hold
-    sessions first, first + 1, ... of the file."""
-    for i, row in enumerate(rows, first):
-        try:
-            session_id = int(row[0])
-            start, end, k = int(row[2]), int(row[3]), int(row[4])
-        except (IndexError, ValueError):
-            raise _row_error(path, "sessions", row) from None
-        if k < 1:
-            raise InputError(f"bad sessions file {path}: k_items < 1 in row {row!r}")
-        if session_id != i:
-            raise InputError(
-                f"bad sessions file {path}: session_id {session_id} at row {i}"
-                " (ids must run 0..n-1 in order)"
-            )
-        if not (TS_MIN_MS <= start <= TS_MAX_MS and TS_MIN_MS <= end <= TS_MAX_MS):
-            raise InputError(
-                f"bad sessions file {path}: start_ms or end_ms outside the signed"
-                f" 64-bit range in row {row!r}"
-            )
-    raise AssertionError("a chunk of sessions failed a check that none of its rows fails")
+def _session_field(path: Path, row: list[str], i: int, user_column: bool) -> str | int:
+    """Row i of a sessions file's interned user_hash, or its k_items. The
+    row-object reader's checks come first, in its order, then the signed
+    64-bit range of the times; the first check that fails is an InputError."""
+    try:
+        session_id, start, end, k = int(row[0]), int(row[2]), int(row[3]), int(row[4])
+    except (IndexError, ValueError):
+        raise _row_error(path, "sessions", row) from None
+    if k < 1:
+        raise InputError(f"bad sessions file {path}: k_items < 1 in row {row!r}")
+    if session_id != i:
+        raise InputError(
+            f"bad sessions file {path}: session_id {session_id} at row {i}"
+            " (ids must run 0..n-1 in order)"
+        )
+    if not (TS_MIN_MS <= start <= TS_MAX_MS and TS_MIN_MS <= end <= TS_MAX_MS):
+        raise InputError(
+            f"bad sessions file {path}: start_ms or end_ms outside the signed"
+            f" 64-bit range in row {row!r}"
+        )
+    return sys.intern(row[1]) if user_column else k
 
 
 def _opt(x: float | None) -> float | str:
@@ -495,7 +478,7 @@ def read_metrics_csv(path: Path) -> list[BlockMetrics]:
     block_index exceeds the row before's, its q is at least 1, its n_min,
     n_max, k_min and k_max satisfy 1 <= min <= max, its mean_n and mean_k
     are finite and positive and, after the first row, its alpha, beta and
-    variety are finite."""
+    variety are finite; so is a file with no blocks, which no run writes."""
     out: list[BlockMetrics] = []
     with _reading(path, "metrics", _METRIC_COLS) as rows:
         for row in rows:
@@ -519,6 +502,8 @@ def read_metrics_csv(path: Path) -> list[BlockMetrics]:
             ):
                 raise _row_error(path, "metrics", row)
             out.append(m)
+    if not out:
+        raise InputError(f"bad metrics file {path}: no blocks")
     return out
 
 

@@ -6,6 +6,7 @@ import csv
 from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -105,7 +106,8 @@ class SessionSummary:
 
 def oracle_read_sessions_csv(path: Path) -> list[SessionSummary]:
     """The row-object sessions.csv reader that read_sessions_csv replaced,
-    kept as the reference for its rows and its error messages."""
+    kept as the reference for its rows and its error messages. A file with
+    no rows is refused, as no run writes one."""
     out: list[SessionSummary] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -125,6 +127,8 @@ def oracle_read_sessions_csv(path: Path) -> list[SessionSummary]:
                     " (ids must run 0..n-1 in order)"
                 )
             out.append(s)
+    if not out:
+        raise InputError(f"bad sessions file {path}: no sessions")
     return out
 
 
@@ -298,7 +302,7 @@ class Session:
 
 
 def session_groups(
-    events: Iterable[LogEvent], gap_ms: int
+    events: Iterable[LogEvent], gap_ms: Fraction
 ) -> Iterator[tuple[str, list[LogEvent]]]:
     """Yield (user_hash, events) runs split wherever an inter-event gap exceeds gap_ms.
 
@@ -349,7 +353,9 @@ def sessionize(
     if not gap_seconds > 0:
         raise ValueError("gap_seconds must be positive")
     count_items([], count_policy)  # validate policy up front
-    gap_ms = round(gap_seconds * 1000)
+    # The gap as written, exactly: its shortest decimal text, not the binary
+    # float (1.001 s is 1001 ms), nor a rounded whole millisecond.
+    gap_ms = Fraction(repr(gap_seconds)) * 1000
     drafts = [
         (evs[0].ts_ms, user, evs)
         for user, evs in session_groups(events, gap_ms)

@@ -689,6 +689,33 @@ def test_sessions_time_outside_int64_exits_2(tmp_path, capsys):
     assert "start_ms or end_ms outside the signed 64-bit range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, key, refusal", [
+    # Each once exited 0, with "blocks: 0", "routes: 0" or "classified blocks: 0".
+    (["metrics"], "sessions", "no sessions"),
+    (["routes", "--grouping", "stream"], "sessions", "no sessions"),
+    (["routes", "--grouping", "user"], "sessions", "no sessions"),
+    (["classify"], "metrics", "no blocks"),
+])
+def test_header_only_file_exits_2(tmp_path, capsys, cmd, key, refusal):
+    # run and ingest exit 2 on an input without sessions, so they never
+    # write these files; a classifications.csv of the header alone is what
+    # a one-block run writes.
+    headers = {"sessions": pipeline._SESSION_COLS, "metrics": _METRIC_COLS,
+               "classifications": pipeline._CLASSIFICATION_COLS}
+    for name, header in headers.items():
+        (tmp_path / ARTIFACT_FILES[name]).write_text(",".join(header) + "\n", encoding="utf-8")
+    path = tmp_path / ARTIFACT_FILES[key]
+    inputs = {
+        "metrics": ["--sessions", str(path), "--out-dir", str(tmp_path / "out")],
+        "routes": ["--classifications", str(tmp_path / ARTIFACT_FILES["classifications"]),
+                   "--sessions", str(path), "--out-dir", str(tmp_path / "out")],
+        "classify": ["--metrics", str(path), "--out", str(tmp_path / "out" / "c.csv")],
+    }[cmd[0]]
+    assert main([*cmd, *inputs]) == 2
+    assert capsys.readouterr().err == f"input error: bad {key} file {path}: {refusal}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cmd", [
     # each once exited 3, or 0 with an empty routes.csv, where run exits 1
     ["metrics", "--block-size", "0"],

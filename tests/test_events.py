@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import types
 from array import array
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -36,7 +37,7 @@ from logcompass.events import (
     filter_events,
     parse_events,
 )
-from logcompass.pipeline import SessionTable, parse_log_files, sessionize_summaries
+from logcompass.pipeline import SessionTable, _gap_ms, parse_log_files, sessionize_summaries
 from logcompass.synth import SynthProfile, write_log
 from logcompass.timeutil import parse_timestamp_ms
 
@@ -221,6 +222,27 @@ def test_sessionize_rejects_bad_gap():
         sessionize_summaries(EventGroups({}, 0), math.inf)
 
 
+@pytest.mark.parametrize("gap_s, times, starts", [
+    # 2 ms exceeds 1.5 ms, and 1 ms exceeds 0.6 ms; 2 ms does not exceed 2 ms,
+    # nor 1001 ms 1.001 s, though 1.001 * 1000 is 1000.9999999999999.
+    (0.0015, [0, 2], [0, 2]),
+    (0.0006, [0, 1, 2], [0, 1, 2]),
+    (0.002, [0, 2], [0]),
+    (1.001, [0, 1001, 2003], [0, 2003]),
+])
+def test_fractional_gap_splits_at_the_next_whole_millisecond(gap_s, times, starts):
+    events = [LogEvent(t, "u1", "i1") for t in times]
+    assert list(sessionize_summaries(event_groups(events), gap_s).start_ms) == starts
+    assert [s.start_ms for s in sessionize(events, gap_s)] == starts
+
+
+@given(st.floats(min_value=5e-324, max_value=1e300))
+def test_gap_ms_rounds_the_decimal_text_down(gap_s):
+    # Drawn gaps span the texts that repr writes with an exponent, below 1e-4
+    # and from 1e16, and those with 17 digits, such as 0.13999999999999999.
+    assert _gap_ms(gap_s) == math.floor(Fraction(repr(gap_s)) * 1000)
+
+
 def test_sessionize_unknown_policy():
     with pytest.raises(ConfigError):
         sessionize([], 1800, count_policy="weird")
@@ -230,7 +252,8 @@ def test_sessionize_unknown_policy():
 
 _event_lists = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=500_000),
+        # Small times put events a few milliseconds apart, around fractional gaps.
+        st.one_of(st.integers(min_value=0, max_value=500_000), st.integers(min_value=0, max_value=8)),
         st.sampled_from(["u1", "u2", "u3"]),
         st.sampled_from(["i1", "i2", "i3", "i4"]),
     ),
@@ -238,7 +261,15 @@ _event_lists = st.lists(
 )
 
 
-@given(_event_lists, st.integers(min_value=1, max_value=120))
+# Whole seconds, whole milliseconds, and gaps between whole milliseconds.
+_GAPS = st.one_of(
+    st.integers(min_value=1, max_value=120),
+    st.integers(min_value=1, max_value=120_000).map(lambda ms: ms / 1000),
+    st.sampled_from([0.0015, 0.0006]),
+)
+
+
+@given(_event_lists, _GAPS)
 def test_sessionize_partition_and_gap_properties(raw, gap_s):
     events = [LogEvent(t, u, i) for t, u, i in raw]
     sessions = sessionize(events, gap_s)
@@ -246,7 +277,7 @@ def test_sessionize_partition_and_gap_properties(raw, gap_s):
         (e.ts_ms, e.user_hash, e.item_id) for s in sessions for e in s.events
     )
     assert flat == sorted((e.ts_ms, e.user_hash, e.item_id) for e in events)
-    gap_ms = gap_s * 1000
+    gap_ms = Fraction(repr(gap_s)) * 1000
     for s in sessions:
         ts = [e.ts_ms for e in s.events]
         assert ts == sorted(ts)
@@ -658,7 +689,7 @@ def test_parse_records_keeps_few_bytes_per_event():
 # --- sessionize_summaries against the LogEvent sessionizer ----------------------
 
 
-@given(_event_lists, st.integers(min_value=1, max_value=120), st.sampled_from(COUNT_POLICIES))
+@given(_event_lists, _GAPS, st.sampled_from(COUNT_POLICIES))
 def test_sessionize_summaries_match_sessionize(raw, gap_s, policy):
     events = [LogEvent(t, u, i) for t, u, i in raw]
     sessions = sessionize(events, gap_s, count_policy=policy)

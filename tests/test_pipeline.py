@@ -543,6 +543,11 @@ _SEGMENTS = st.sampled_from([16, 64, pipeline._SEGMENT_CHARS])
 def test_sessions_csv_round_trips_any_table(tmp_path_factory, table, segment):
     path = tmp_path_factory.mktemp("rt") / "sessions.csv"
     write_sessions_csv(table, path)
+    if not table:  # no run writes a file without sessions, and no stage reads one
+        for column in _COLUMNS:
+            with pytest.raises(InputError, match=re.escape(f"bad sessions file {path}: no sessions")):
+                read_sessions_csv(path, column)
+        return
     with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
         got = _read_table(path)
     assert got == table
@@ -719,13 +724,10 @@ def _corrupt(row: list[str], fault) -> list[str]:
     st.lists(st.tuples(st.sampled_from(["u1", "u,2", 'u"3']), st.integers(0, 9), st.integers(1, 4)),
              min_size=1, max_size=10),
     st.lists(st.tuples(st.integers(0, 9), _FAULTS), min_size=1, max_size=3),
-    # Chunks smaller than the file put a fault and the rows before it in
-    # different chunks.
-    st.sampled_from([1, 2, 3, pipeline._CHUNK_ROWS]),
     _SEGMENTS,
 )
 @pytest.mark.parametrize("column", _COLUMNS)
-def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, column, rows, faults, chunk, segment):
+def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, column, rows, faults, segment):
     lines = [["session_id", "user_hash", "start_ms", "end_ms", "k_items"]]
     lines += [[str(i), u, str(t), str(t + 1), str(k)] for i, (u, t, k) in enumerate(rows)]
     for at, fault in faults:
@@ -734,8 +736,7 @@ def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, column,
     path = tmp_path_factory.mktemp("bad") / "sessions.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(lines)
-    with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk):
-        _agrees_with_oracle(path, column, segment)
+    _agrees_with_oracle(path, column, segment)
 
 
 @pytest.mark.parametrize("column", _COLUMNS)
@@ -750,8 +751,7 @@ def test_first_faulty_row_wins(tmp_path, column):
 
 
 @pytest.mark.parametrize("column", _COLUMNS)
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_first_faulty_row_wins_across_chunks(tmp_path, chunk, column):
+def test_out_of_range_row_wins_over_later_faults(tmp_path, column):
     path = tmp_path / "sessions.csv"
     path.write_text(
         "session_id,user_hash,start_ms,end_ms,k_items\n"
@@ -759,9 +759,8 @@ def test_first_faulty_row_wins_across_chunks(tmp_path, chunk, column):
         encoding="utf-8",
     )
     row = ["1", "u1", str(2**63), "0", "1"]
-    with mock.patch.object(pipeline, "_CHUNK_ROWS", chunk):
-        with pytest.raises(InputError, match=re.escape(f"64-bit range in row {row!r}")):
-            read_sessions_csv(path, column)
+    with pytest.raises(InputError, match=re.escape(f"64-bit range in row {row!r}")):
+        read_sessions_csv(path, column)
 
 
 # --- read_sessions_csv's split segments and its csv fallback -----------------------
@@ -812,6 +811,13 @@ def test_quoted_user_after_clean_segments(tmp_path, segment, user, column):
     with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
         assert read_sessions_csv(path, column) == getattr(table, column)
     _agrees_with_oracle(path, column, segment)
+    # A faulty row after the user, which csv reads a row at a time.
+    table.k_items[620] = 0
+    write_sessions_csv(table, path)
+    _agrees_with_oracle(path, column, segment)
+    with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
+        with pytest.raises(InputError, match=r"k_items < 1 in row \['620', "):
+            read_sessions_csv(path, column)
 
 
 _HEADER = "session_id,user_hash,start_ms,end_ms,k_items"
@@ -834,7 +840,7 @@ _HEADER = "session_id,user_hash,start_ms,end_ms,k_items"
     f"{_HEADER}\n0,u1,5,6,1\n\n1,u2,7,8,2\n",
     f"{_HEADER}\n0,u1,5,6,1\n1,u2,7,8,2\n\n",
     f"{_HEADER}\n\n",
-    # the header alone, with or without its LF
+    # the header alone, with or without its LF: no sessions
     f"{_HEADER}\n",
     _HEADER,
     "",
@@ -905,22 +911,11 @@ def test_plain_file_never_reaches_csv_reader(tmp_path, n, segment, terminated):
     with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader")), \
             mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
         for column in _COLUMNS:
-            assert read_sessions_csv(path, column) == getattr(table, column)
-
-
-@pytest.mark.parametrize("column", _COLUMNS)
-def test_read_sessions_columns_are_exact_size(tmp_path, column):
-    # A column filled in place holds one slot per LF: one per row, and one
-    # spare when the last line has its LF.
-    n = 5000
-    table = _plain_table(n)
-    path = tmp_path / "sessions.csv"
-    write_sessions_csv(table, path)
-    for slots in (n + 1, n):
-        got = read_sessions_csv(path, column)
-        assert got == getattr(table, column)
-        assert sys.getsizeof(got) == sys.getsizeof([None] * slots)
-        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+            if n:
+                assert read_sessions_csv(path, column) == getattr(table, column)
+            else:
+                with pytest.raises(InputError, match=": no sessions$"):
+                    read_sessions_csv(path, column)
 
 
 # --- artifacts that are not UTF-8 ------------------------------------------------
@@ -976,7 +971,10 @@ print(json.dumps({"s": seconds, "peak_mb": peak_mb, "rows": len(ks), "sha256": d
     not os.environ.get("LOGCOMPASS_SCALE"),
     reason="1M-row sessions.csv read twice; set LOGCOMPASS_SCALE=1 to enable",
 )
-def test_scale_reader_matches_oracle(tmp_path):
+# Plain users are split without csv; a user holding a comma is quoted, so csv
+# reads that file row by row from its first segment.
+@pytest.mark.parametrize("suffix", ["", ",x"], ids=["plain", "quoted"])
+def test_scale_reader_matches_oracle(tmp_path, suffix):
     # The sessions.csv that criterion 6's corpus sessionizes into.
     profile = SynthProfile(
         n_users=500, n_items=5000, sessions_per_block=10_000, n_blocks=100, seed=42
@@ -987,7 +985,7 @@ def test_scale_reader_matches_oracle(tmp_path):
         w.writerow(["session_id", "user_hash", "start_ms", "end_ms", "k_items"])
         for i, s in enumerate(generate_sessions(profile)):
             k = len(s.item_ids)
-            w.writerow([i, s.user_hash, s.start_ms, s.start_ms + (k - 1) * EVENT_SPACING_S * 1000, k])
+            w.writerow([i, s.user_hash + suffix, s.start_ms, s.start_ms + (k - 1) * EVENT_SPACING_S * 1000, k])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).parent), str(Path(__file__).parents[1] / "src")]
@@ -1002,7 +1000,7 @@ def test_scale_reader_matches_oracle(tmp_path):
     assert out["columns"]["rows"] == out["oracle"]["rows"] == 1_000_000
     assert out["columns"]["sha256"] == out["oracle"]["sha256"]
     print(
-        "SCALE READ PASS: 1,000,000 rows; "
+        f"SCALE READ PASS: 1,000,000 {'quoted' if suffix else 'plain'} rows; "
         + "; ".join(f"{k} {v['s']:.2f}s peak {v['peak_mb']:.0f} MB" for k, v in out.items())
     )
 
