@@ -123,7 +123,7 @@ class FilterRules:
         ):
             try:
                 re.compile(pat)
-            except re.error as exc:
+            except (re.error, OverflowError, RecursionError) as exc:
                 raise ConfigError(f"bad filter pattern {pat!r}: {exc}") from None
 
 
@@ -364,19 +364,24 @@ def filter_events(events: EventGroups, rules: FilterRules) -> EventGroups:
     A pattern's verdict depends only on the string it searches, so each
     distinct item_id and source_tag is searched once; one mask per user then
     selects the kept events of its columns. Empty rules return events itself.
+
+    Consumes events, as sessionize_summaries does: each user's group is
+    popped from events.groups as its kept columns are stored, so at most one
+    user's events are held twice. len(events) stays the number of events.
     """
     if not rules.agent_deny_patterns and rules.item_allow_pattern is None:
         return events
     deny = [re.compile(p).search for p in rules.agent_deny_patterns]
     # Without an allow pattern, the empty pattern passes every item.
     allow = re.compile(rules.item_allow_pattern or "").search
-    groups = events.groups.values()
-    all_items = set(chain.from_iterable(g[1] for g in groups))
-    all_tags = {None}.union(*(g[2] for g in groups))
+    groups = events.groups
+    all_items = set(chain.from_iterable(g[1] for g in groups.values()))
+    all_tags = {None}.union(*(g[2] for g in groups.values()))
     item_ok = {item: allow(item) is not None for item in all_items}
     tag_ok = {tag: tag is None or not any(d(tag) for d in deny) for tag in all_tags}
     kept: dict[str, Group] = {}
-    for user, (ts, items, tags) in events.groups.items():
+    for user in list(groups):
+        ts, items, tags = groups.pop(user)
         mask = [item_ok[item] and tag_ok[tag] for item, tag in zip_longest(items, tags)]
         if any(mask):
             kept[user] = (

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from array import array
 from contextlib import contextmanager
@@ -272,6 +273,8 @@ _CHUNK_ROWS = 256
 # segment on to the end of its last line.
 _SEGMENT_CHARS = 8192
 _SESSIONS_HEADER_LINE = ",".join(_SESSION_COLS) + "\n"
+# A text that csv may quote under QUOTE_MINIMAL holds the delimiter, the quote or a line end.
+_CSV_SPECIAL = re.compile(r'[,"\r\n]').search
 
 
 def _open_w(path: Path) -> IO[str]:
@@ -283,11 +286,17 @@ def _rendered_fields(dialect: csv.Dialect, texts: Iterable[str]) -> dict[str, st
 
     A text is rendered beside a second field, because csv writes a row of
     one empty field as "" but an empty field beside others as nothing.
+    Under QUOTE_MINIMAL with LF line ends, a text holding no _CSV_SPECIAL
+    character, the empty one included, is rendered as itself, without csv.
     """
     buf = io.StringIO()
     render = csv.writer(buf, dialect)
+    plain = dialect.quoting == csv.QUOTE_MINIMAL and dialect.lineterminator == "\n"
     shown: dict[str, str] = {}
     for text in texts:
+        if plain and not _CSV_SPECIAL(text):
+            shown[text] = text
+            continue
         render.writerow((text, 0))
         shown[text] = buf.getvalue()[: -len(",0" + dialect.lineterminator)]
         buf.seek(0)

@@ -275,6 +275,20 @@ def test_bad_filters_file_is_config_error(tmp_path):
     assert main(["ingest", "--input", "x", "--filters", str(rules), "--out", "y"]) == 1
 
 
+# Patterns that re.compile refuses with OverflowError and RecursionError,
+# not re.error; each once ended run with exit 3.
+@pytest.mark.parametrize("pattern", ["a{99999999999}", "(" * 1200 + "a" + ")" * 1200],
+                         ids=["repeat-overflow", "nested-groups"])
+def test_uncompilable_filter_pattern_is_config_error(tmp_path, capsys, pattern):
+    log, rules = tmp_path / "log.csv", tmp_path / "rules.json"
+    log.write_text("2021-03-01T00:00:00Z,u1,a1\n", encoding="utf-8")
+    rules.write_text(json.dumps({"item_allow_pattern": pattern}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(log), "--filters", str(rules), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: bad filter pattern {pattern!r}: ")
+    assert not out.exists()
+
+
 # JSON config files that each once ended a command with exit 3.
 _UNREADABLE_CONFIG = pytest.mark.parametrize("data, reason", [
     (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),

@@ -160,6 +160,33 @@ def test_filter_item_allow_pattern():
     assert kept.groups["u1"][1] == ["paper-9"]
 
 
+def test_filter_consumes_its_input():
+    events = make_events([(0, "u3", "a1"), (1, "u1", "x"), (2, "u2", "a2", "bot"), (3, "u1", "a3")])
+    groups = event_groups(events)
+    kept = filter_events(groups, FilterRules(("bot",), "^a"))
+    assert (groups.groups, len(groups)) == ({}, 4)
+    assert list(kept.groups) == ["u3", "u1"]
+    assert group_events(kept) == {"u3": [events[0]], "u1": [events[3]]}
+
+
+def test_filter_holds_one_user_twice_at_most():
+    # 200 users of 500 events, every one kept: the filter's peak above its
+    # input is far below the input's size, since each user's columns are
+    # freed as their copy is stored.
+    lines = (f"2021-03-01T10:00:00Z,u{t % 200},a{t % 50}\n" for t in range(100_000))
+    tracemalloc.start()
+    try:
+        events, _ = parse_events(lines, "a")
+        size, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        kept = filter_events(events, FilterRules(item_allow_pattern="^a"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == len(events) == 100_000
+    assert peak - size < size / 4
+
+
 def test_filter_rules_validate_patterns():
     with pytest.raises(ConfigError):
         FilterRules(agent_deny_patterns=("[unclosed",))

@@ -578,6 +578,19 @@ def test_write_sessions_bytes_for_special_users(tmp_path, user, others):
     assert _read_table(tmp_path / "got.csv") == table
 
 
+@given(st.lists(st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "é", "a", "Z"]), max_size=5),
+                max_size=6),
+       st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC]))
+def test_rendered_fields_match_csv_writer(texts, quoting):
+    # A row of the rendered texts is the row csv.writer writes from them.
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n", quoting=quoting)
+    shown = pipeline._rendered_fields(w.dialect, texts)
+    assert shown.keys() == set(texts)
+    w.writerow([*texts, 0])
+    assert buf.getvalue() == ",".join([*map(shown.__getitem__, texts), "0"]) + "\n"
+
+
 # --- every csv writer against the csv.writer body it replaced ----------------------
 
 _LABELS = st.sampled_from("abcdef")
