@@ -22,7 +22,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import gt
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -394,31 +394,40 @@ def read_sessions_csv(path: Path, column: str) -> list[int] | list[str]:
 
     Under the exact header, the file is read in segments of whole lines that
     events.comma_columns, the format-a reader's splitter, splits without
-    csv; from the first segment it cannot split, or that fails a check, csv
-    reads the rest and _session_field checks it a row at a time, so the
-    rows, checks and errors are csv's either way.
+    csv, and whose fields are checked as text, as run writes them; from the
+    first segment it cannot split, or that holds a field written otherwise,
+    csv reads the rest and _session_field checks it a row at a time, so the
+    rows, checks and errors are csv's and int()'s either way.
     """
     user_column = {"k_items": False, "user_hash": True}[column]
     kept: list = []
+    # One object per distinct user or k_items, however many sessions name it.
+    seen: dict = {}
 
     def take(cols: Sequence[Sequence[str]]) -> bool:
-        """Append the kept column of a run of rows; False, and nothing
-        appended, if any of those rows fails a check."""
-        # map() over a column converts without a bytecode loop per row.
-        try:
-            ids = list(map(int, cols[0]))
-            # k_items holds few distinct texts, each converted once.
-            k_of = {text: int(text) for text in set(cols[4])}
-            # array('q') refuses a time outside the signed 64-bit range; it
-            # fills faster from a list than from an iterator.
-            array("q", list(map(int, chain(cols[2], cols[3]))))
-        except (ValueError, OverflowError):
-            return False
+        """Append the kept column of a run of rows written as run writes
+        them; False, and nothing appended, if any field is written otherwise
+        (the row path then reads it to int()'s result or error)."""
         n = len(kept)
-        if min(k_of.values()) < 1 or ids != list(range(n, n + len(ids))):
+        k_texts = set(cols[4])
+        texts = [*cols[2], *cols[3], *k_texts]
+        digits = "".join(texts)
+        # Only a segment with a sign pays for stripping it.
+        if "-" in digits:
+            texts = list(map(str.removeprefix, texts, repeat("-")))
+            digits = "".join(texts)
+        # bytes.isdigit() is ASCII digits alone; 1 to 18 of them, signed or
+        # not, always fit in the signed 64-bit range.
+        lengths = set(map(len, texts))
+        if not digits.encode().isdigit() or 0 in lengths or max(lengths) > 18:
             return False
-        # One str object per distinct user, however many sessions name it.
-        kept.extend(map(sys.intern, cols[1]) if user_column else map(k_of.__getitem__, cols[4]))
+        # k_items holds few distinct texts, each converted once; a signed
+        # one is below 1.
+        k_of = {text: int(text) for text in k_texts}
+        ids = "\n".join(map(str, range(n, n + len(cols[0]))))
+        if min(k_of.values()) < 1 or "\n".join(cols[0]) != ids:
+            return False
+        kept.extend(map(seen.setdefault, cols[1], cols[1]) if user_column else map(k_of.__getitem__, cols[4]))
         return True
 
     with _opened(path, "sessions") as fh:
@@ -436,14 +445,15 @@ def read_sessions_csv(path: Path, column: str) -> list[int] | list[str]:
         else:
             rows = _csv_rows(chain((head,), fh), path, "sessions", _SESSION_COLS)
         for i, row in enumerate(rows, len(kept)):
-            kept.append(_session_field(path, row, i, user_column))
+            value = _session_field(path, row, i, user_column)
+            kept.append(seen.setdefault(value, value))
     if not kept:
         raise InputError(f"bad sessions file {path}: no sessions")
     return kept
 
 
 def _session_field(path: Path, row: list[str], i: int, user_column: bool) -> str | int:
-    """Row i of a sessions file's interned user_hash, or its k_items. The
+    """Row i of a sessions file's user_hash, or its k_items. The
     row-object reader's checks come first, in its order, then the signed
     64-bit range of the times; the first check that fails is an InputError."""
     try:
@@ -462,7 +472,7 @@ def _session_field(path: Path, row: list[str], i: int, user_column: bool) -> str
             f"bad sessions file {path}: start_ms or end_ms outside the signed"
             f" 64-bit range in row {row!r}"
         )
-    return sys.intern(row[1]) if user_column else k
+    return row[1] if user_column else k
 
 
 def _opt(x: float | None) -> float | str:
@@ -484,9 +494,10 @@ def write_metrics_jsonl(metrics: Sequence[BlockMetrics], path: Path) -> None:
 
 def read_metrics_csv(path: Path) -> list[BlockMetrics]:
     """The block metrics of a metrics file. A row is an InputError unless its
-    block_index exceeds the row before's, its q is at least 1, its n_min,
-    n_max, k_min and k_max satisfy 1 <= min <= max, its mean_n and mean_k
-    are finite and positive and, after the first row, its alpha, beta and
+    block_index is at least 0 and exceeds the row before's, its q is at
+    least 1, its n_min, n_max, k_min and k_max satisfy 1 <= min <= max, no
+    integer exceeds 2**63 - 1 (sessions.csv times' bound), its mean_n and
+    mean_k are finite and positive and, after the first row, its alpha, beta and
     variety are finite; so is a file with no blocks, which no run writes."""
     out: list[BlockMetrics] = []
     with _reading(path, "metrics", _METRIC_COLS) as rows:
@@ -503,6 +514,7 @@ def read_metrics_csv(path: Path) -> list[BlockMetrics]:
             ratios = (m.alpha, m.beta, m.variety)
             if not (
                 m.q >= 1 and 1 <= m.n_min <= m.n_max and 1 <= m.k_min <= m.k_max
+                and 0 <= m.block_index and max(m.block_index, m.q, m.n_max, m.k_max) <= TS_MAX_MS
                 and 0 < m.mean_n < math.inf and 0 < m.mean_k < math.inf
             ) or out and (
                 m.block_index <= out[-1].block_index
@@ -576,14 +588,16 @@ def write_transitions_csv(tg: TransitionGraph, path: Path) -> None:
 
 
 def read_transitions_csv(path: Path) -> TransitionGraph:
-    """A row is an InputError unless it names two labels, a pair no row before names, and a count >= 1."""
+    """A row is an InputError unless it names two labels, a pair no row
+    before names, and a count from 1 to 2**63 - 1."""
     counts: dict[tuple[str, str], int] = {}
     with _reading(path, "transitions", _TRANSITION_COLS) as rows:
         for row in rows:
             count = int(row[2])
-            if count < 1 or (row[0], row[1]) in counts or not NODE_BY_LABEL.keys() >= {row[0], row[1]}:
+            pair = row[0], row[1]
+            if not 1 <= count <= TS_MAX_MS or pair in counts or not NODE_BY_LABEL.keys() >= set(pair):
                 raise _row_error(path, "transitions", row)
-            counts[row[0], row[1]] = count
+            counts[pair] = count
     return TransitionGraph(counts)
 
 

@@ -148,6 +148,13 @@ def test_out_under_a_file_exits_2_before_the_stage_runs(
     assert (tmp_path / "F").read_text(encoding="utf-8") == ""
 
 
+def test_graph_takes_counts_up_to_int64(tmp_path):
+    path = tmp_path / "transitions.csv"
+    path.write_text(f"from,to,count\na,e,{2**63 - 1}\ne,a,{2**63 - 1}\n", encoding="utf-8")
+    assert main(["graph", "--out-dir", str(tmp_path / "g"), "--transitions", str(path)]) == 0
+    assert "edge a e inf" not in (tmp_path / "g" / "compass.canonical").read_text(encoding="utf-8")
+
+
 def test_graph_single_format(tmp_path):
     out = tmp_path / "g"
     assert main(["graph", "--out-dir", str(out), "--export", "dot"]) == 0
@@ -162,6 +169,11 @@ def test_graph_single_format(tmp_path):
     ("x,y,5", ["x", "y", "5"]),  # once ignored, with exit 0
     ("a,g,1", ["a", "g", "1"]),
     (",a,1", ["", "a", "1"]),
+    # once exit 3: "int too large to convert to float"
+    pytest.param("a,f," + "9" * 400, ["a", "f", "9" * 400], id="400-nines"),
+    # once exit 0, with "edge a e inf" in every graph file
+    pytest.param(f"a,e,{10**308}\ne,a,{10**308}", ["a", "e", str(10**308)], id="1e308-both-ways"),
+    (f"a,e,{2**63}", ["a", "e", str(2**63)]),
 ])
 def test_graph_refuses_bad_transitions(tmp_path, capsys, line, row):
     path = tmp_path / "transitions.csv"
@@ -556,6 +568,14 @@ _METRIC = {name: i for i, name in enumerate(_METRIC_COLS)}
     ("classify", "metrics", _swap(3, _METRIC["k_min"], _METRIC["k_max"])),
     ("classify", "metrics", _set(0, _METRIC["n_min"], "0")),
     ("classify", "metrics", _set(2, _METRIC["k_min"], "-1")),
+    # Once exited 3: "int too large to convert to float".
+    ("report", "metrics", _set(1, _METRIC["q"], str(10**400))),
+    # Each once exited 0 and wrote classifications.
+    ("classify", "metrics", _set(2, _METRIC["n_max"], str(2**63))),
+    ("classify", "metrics", _set(3, _METRIC["block_index"], str(2**63))),
+    # Each once exited 0: classify wrote a block no run has.
+    ("classify", "metrics", _set(0, _METRIC["block_index"], "-1")),
+    ("report", "metrics", _set(0, _METRIC["block_index"], str(-(10**400)))),
     # Each once exited 3: "classifications must be ordered by block_index".
     ("routes", "classifications", _reverse),
     ("routes", "classifications", _repeat(0)),

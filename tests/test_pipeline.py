@@ -716,7 +716,12 @@ def test_read_sessions_accepts_the_int64_bounds(tmp_path):
 _FAULTS = st.one_of(
     st.tuples(st.just("short"), st.integers(0, 4)),
     st.tuples(st.just("extra"), st.lists(st.sampled_from(["", "x", "7"]), min_size=1, max_size=3)),
-    st.tuples(st.just("text"), st.sampled_from([0, 2, 3, 4]), st.sampled_from(["", "x", "1.5", " 2", "0x1"])),
+    # After the first five, texts that int() reads but run never writes.
+    st.tuples(st.just("text"), st.sampled_from([0, 2, 3, 4]), st.sampled_from(
+        ["", "x", "1.5", " 2", "0x1", "+1", "01", "1_0", "\u0663", "-0"])),
+    # Times on both sides of 18 digits and of the signed 64-bit range.
+    st.tuples(st.just("text"), st.sampled_from([2, 3]), st.sampled_from(
+        ["-5", str(10**18), str(2**63 - 1), str(2**63), str(-(2**63) - 1)])),
     st.tuples(st.just("k"), st.integers(-3, 0)),
     st.tuples(st.just("id"), st.integers(-2, 20)),
 )
@@ -749,7 +754,10 @@ def test_read_sessions_matches_oracle_on_corrupt_files(tmp_path_factory, column,
     path = tmp_path_factory.mktemp("bad") / "sessions.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(lines)
-    _agrees_with_oracle(path, column, segment)
+    _agrees_with_oracle(path, column, segment, oracle=_row_path_column)
+    # The oracle reads any int as a time.
+    if not {str(2**63), str(-(2**63) - 1)} & {f for line in lines for f in line[2:4]}:
+        _agrees_with_oracle(path, column, segment)
 
 
 @pytest.mark.parametrize("column", _COLUMNS)
@@ -793,12 +801,22 @@ def _oracle_rows(path):
             for s in oracle_read_sessions_csv(path)]
 
 
-def _agrees_with_oracle(path, column, segment=pipeline._SEGMENT_CHARS):
-    """read_sessions_csv yields the column of the oracle's rows or raises
-    its message."""
+def _oracle_column(path, column):
+    return [getattr(s, column) for s in oracle_read_sessions_csv(path)]
+
+
+def _row_path_column(path, column):
+    """read_sessions_csv with every segment sent to csv: its row path alone,
+    which unlike the oracle refuses times outside the signed 64-bit range."""
+    with mock.patch.object(pipeline, "comma_columns", return_value=None):
+        return read_sessions_csv(path, column)
+
+
+def _agrees_with_oracle(path, column, segment=pipeline._SEGMENT_CHARS, oracle=_oracle_column):
+    """read_sessions_csv yields the oracle's column or raises its message."""
     with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
         try:
-            want = [getattr(s, column) for s in oracle_read_sessions_csv(path)]
+            want = oracle(path, column)
         except InputError as exc:
             with pytest.raises(InputError) as got:
                 read_sessions_csv(path, column)
@@ -929,6 +947,47 @@ def test_plain_file_never_reaches_csv_reader(tmp_path, n, segment, terminated):
             else:
                 with pytest.raises(InputError, match=": no sessions$"):
                     read_sessions_csv(path, column)
+
+
+@pytest.mark.parametrize("segment", [64, pipeline._SEGMENT_CHARS])
+@pytest.mark.parametrize("count_policy, first_ms", [("distinct", -(10**11)), ("raw", 10**12)])
+def test_run_written_sessions_skip_csv(tmp_path, segment, count_policy, first_ms):
+    # Every field that run writes passes the text checks, negative times and
+    # raw counts too, so no segment falls back to csv.
+    log = tmp_path / "log.csv"
+    # Sessions of five events over two items, an hour apart.
+    log.write_text("".join(
+        f"{format_timestamp_s(first_ms + 1000 * (i + 3600 * (i // 5)))},u{i // 5 % 3},a{i % 2}\n"
+        for i in range(600)
+    ), encoding="utf-8")
+    cfg, _ = run(tmp_path, log, count_policy=count_policy)
+    path = cfg.out_dir / ARTIFACT_FILES["sessions"]
+    rows = oracle_read_sessions_csv(path)
+    assert len(rows) == 120 and (rows[0].start_ms < 0) == (first_ms < 0)
+    assert {s.k_items for s in rows} == {5 if count_policy == "raw" else 2}
+    with mock.patch.object(pipeline.csv, "reader", side_effect=AssertionError("csv.reader")), \
+            mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
+        for column in _COLUMNS:
+            assert read_sessions_csv(path, column) == [getattr(s, column) for s in rows]
+
+
+@pytest.mark.parametrize("segment", [64, pipeline._SEGMENT_CHARS])
+def test_one_object_per_user_on_both_paths(tmp_path, segment):
+    # Users split without csv before the quoted user and read by csv after it.
+    head, tail = _plain_table(600), _plain_table(50, first_user=3)
+    table = SessionTable(
+        head.user_hash + ["a,b"] + tail.user_hash,
+        head.start_ms + array("q", [7]) + tail.start_ms,
+        head.end_ms + array("q", [8]) + tail.end_ms,
+        head.k_items + [4] + tail.k_items,
+    )
+    path = tmp_path / "sessions.csv"
+    write_sessions_csv(table, path)
+    with mock.patch.object(pipeline, "_SEGMENT_CHARS", segment):
+        users = read_sessions_csv(path, "user_hash")
+    assert users == table.user_hash
+    assert users[0] == users[601 + 4] == "u0" and users[0] is users[601 + 4]
+    assert len(set(map(id, users))) == len(set(users))
 
 
 # --- artifacts that are not UTF-8 ------------------------------------------------
